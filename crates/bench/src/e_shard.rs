@@ -75,11 +75,12 @@ struct ShardRow {
     lat_unit: &'static str,
     /// Throughput relative to the same substrate's `S = 1` baseline.
     scaling: f64,
-    /// Ω heartbeat messages observed in the run (netsim only; 0 on the
-    /// wall-clock substrates, whose totals are time- not run-bound).
-    omega_alive: u64,
+    /// Ω heartbeat messages observed in the run (netsim only; `None` —
+    /// unmeasured — on the wall-clock substrates, whose totals are time-
+    /// not run-bound).
+    omega_alive: Option<u64>,
     /// Ω accusation messages observed in the run (netsim only).
-    omega_accuse: u64,
+    omega_accuse: Option<u64>,
 }
 
 /// Every group pinned to the strict one-command-per-round-trip baseline:
@@ -230,8 +231,8 @@ fn netsim_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Regist
         p99,
         lat_unit: "ticks",
         scaling: 1.0,
-        omega_alive: kinds.get("ALIVE").copied().unwrap_or(0),
-        omega_accuse: kinds.get("ACCUSE").copied().unwrap_or(0),
+        omega_alive: Some(kinds.get("ALIVE").copied().unwrap_or(0)),
+        omega_accuse: Some(kinds.get("ACCUSE").copied().unwrap_or(0)),
     }
 }
 
@@ -359,8 +360,8 @@ fn threadnet_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Reg
         p99,
         lat_unit: "us",
         scaling: 1.0,
-        omega_alive: 0,
-        omega_accuse: 0,
+        omega_alive: None,
+        omega_accuse: None,
     }
 }
 
@@ -389,7 +390,8 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
         StdDuration::from_secs(10),
     )
     .unwrap_or(ProcessId(0));
-    let burst_start = StdInstant::now();
+    // Output timestamps count from the cluster's epoch.
+    let burst_at = cluster.epoch().elapsed();
     for i in 0..commands {
         cluster.request(
             leader,
@@ -416,7 +418,6 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
         }
         std::thread::sleep(StdDuration::from_millis(2));
     }
-    let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     report.export(registry);
     let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
@@ -424,6 +425,14 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();
+    // The clock stops at the leader's last commit, not at the end of the
+    // quiescence wait that noticed it.
+    let total_wall = outputs
+        .iter()
+        .filter(|(p, _, ev)| *p == leader && matches!(ev, ShardEvent::Committed { .. }))
+        .map(|(_, at, _)| at.saturating_sub(burst_at))
+        .max()
+        .unwrap_or_default();
     let (committed, per_shard, per_shard_latencies) =
         wall_latencies(&outputs, leader, shards, total_wall);
     let throughput = committed as f64 / total_wall.as_secs_f64().max(f64::EPSILON);
@@ -440,8 +449,8 @@ fn wirenet_run(n: usize, commands: u64, shards: u32, registry: &Registry) -> Sha
         p99,
         lat_unit: "us",
         scaling: 1.0,
-        omega_alive: 0,
-        omega_accuse: 0,
+        omega_alive: None,
+        omega_accuse: None,
     }
 }
 
@@ -483,9 +492,9 @@ fn omega_flat(rows: &[ShardRow]) -> bool {
     else {
         return false;
     };
+    let alive = |r: &ShardRow| r.omega_alive.unwrap_or(0) as f64;
     rows.iter().filter(|r| r.substrate == "netsim").all(|r| {
-        let drift = (r.omega_alive as f64 - base.omega_alive as f64).abs()
-            / (base.omega_alive as f64).max(1.0);
+        let drift = (alive(r) - alive(base)).abs() / alive(base).max(1.0);
         drift <= OMEGA_FLATNESS && r.omega_accuse <= base.omega_accuse
     })
 }
@@ -506,8 +515,14 @@ fn row_json(row: &ShardRow) -> JsonValue {
         ("latency_p99", JsonValue::U64(row.p99)),
         ("latency_unit", JsonValue::str(row.lat_unit)),
         ("scaling", JsonValue::F64(row.scaling)),
-        ("omega_alive", JsonValue::U64(row.omega_alive)),
-        ("omega_accuse", JsonValue::U64(row.omega_accuse)),
+        (
+            "omega_alive",
+            row.omega_alive.map_or(JsonValue::Null, JsonValue::U64),
+        ),
+        (
+            "omega_accuse",
+            row.omega_accuse.map_or(JsonValue::Null, JsonValue::U64),
+        ),
     ])
 }
 
@@ -558,7 +573,7 @@ pub fn e20_shard(n: usize, commands: u64, seed: u64) -> (Table, JsonValue) {
             format!("{:.1} {}", row.throughput, row.unit),
             format!("{}/{} {}", row.p50, row.p99, row.lat_unit),
             format!("{:.2}x", row.scaling),
-            row.omega_alive.to_string(),
+            row.omega_alive.map_or("n/a".to_owned(), |a| a.to_string()),
         ]);
     }
     let json = JsonValue::obj(vec![
@@ -621,15 +636,16 @@ mod tests {
         let registry = Registry::new();
         let one = netsim_run(3, 120, 1, 11, &registry);
         let eight = netsim_run(3, 120, 8, 11, &registry);
-        assert!(one.omega_alive > 0, "heartbeats must flow");
-        let drift =
-            (eight.omega_alive as f64 - one.omega_alive as f64).abs() / one.omega_alive as f64;
+        let (one_alive, eight_alive) = (
+            one.omega_alive.expect("netsim counts"),
+            eight.omega_alive.expect("netsim counts"),
+        );
+        assert!(one_alive > 0, "heartbeats must flow");
+        let drift = (eight_alive as f64 - one_alive as f64).abs() / one_alive as f64;
         assert!(
             drift <= OMEGA_FLATNESS,
-            "ALIVE drift {:.3} exceeds {OMEGA_FLATNESS} (S=1: {}, S=8: {})",
-            drift,
-            one.omega_alive,
-            eight.omega_alive
+            "ALIVE drift {:.3} exceeds {OMEGA_FLATNESS} (S=1: {one_alive}, S=8: {eight_alive})",
+            drift
         );
         assert!(eight.omega_accuse <= one.omega_accuse);
     }

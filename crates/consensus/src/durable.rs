@@ -16,6 +16,13 @@
 //! | accepted ballot/value | `Accepted` | A `Accepted(b)` vote may already be part of a quorum that chose the value. A restarted acceptor must reveal it in future promises, or a later proposer could choose a conflicting value. |
 //! | decided value / chosen slot | `Decided` / `Chosen` | Decisions are irrevocable and are announced to peers (and to the local application). A restarted process must not re-decide differently, and must not re-emit its decision output (integrity: decide at most once). |
 //!
+//! A replicated-log follower usually writes one group per `Accept`:
+//! `[Chosen…, Accepted]` — the slots the `Accept`'s `decided` list lets it
+//! learn, then its new vote — with a single flush, before the `Committed`
+//! outputs and the `Accepted` reply. A crash before the flush loses both
+//! (the leader retransmits); after it, both survive. A retransmitted
+//! `Accept` whose vote is already durable adds no `Accepted` record.
+//!
 //! # Recovery ("recovering rejoin mode")
 //!
 //! Recovery is performed synchronously inside `with_storage` constructors,

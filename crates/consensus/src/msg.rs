@@ -1,6 +1,6 @@
 //! Wire messages of the consensus protocols.
 
-use lls_primitives::wire::{Wire, WireError, WireReader};
+use lls_primitives::wire::{put_varint, Wire, WireError, WireReader};
 use omega::OmegaMsg;
 use serde::{Deserialize, Serialize};
 
@@ -115,7 +115,8 @@ pub enum RsmMsg<V> {
         /// The acceptor's first slot not known chosen (hint for the leader).
         low_slot: u64,
     },
-    /// Phase 2a for one slot.
+    /// Phase 2a for one slot, carrying the decisions the leader has not
+    /// yet announced.
     Accept {
         /// The proposer's ballot.
         b: Ballot,
@@ -123,6 +124,11 @@ pub enum RsmMsg<V> {
         slot: u64,
         /// The entry to accept.
         entry: Entry<V>,
+        /// Slots this leader chose through its own `Accepted` quorum at
+        /// ballot `b`, in ascending order (delta-varint on the wire). An
+        /// acceptor holding `(b, e)` at a listed slot learns `e` as chosen;
+        /// any other listed slot is ignored.
+        decided: Vec<u64>,
     },
     /// Phase 2b for one slot.
     Accepted {
@@ -130,6 +136,9 @@ pub enum RsmMsg<V> {
         b: Ballot,
         /// The slot that was written.
         slot: u64,
+        /// The acceptor's emission cursor: it has learned every slot below
+        /// this one, which acknowledges the `Decide`s for them.
+        emitted: u64,
     },
     /// Refusal: the acceptor is promised to `higher`.
     Nack {
@@ -351,16 +360,23 @@ impl<V: Wire> Wire for RsmMsg<V> {
                 accepted.encode(out);
                 low_slot.encode(out);
             }
-            RsmMsg::Accept { b, slot, entry } => {
+            RsmMsg::Accept {
+                b,
+                slot,
+                entry,
+                decided,
+            } => {
                 out.push(3);
                 b.encode(out);
                 slot.encode(out);
                 entry.encode(out);
+                encode_slots(decided, out);
             }
-            RsmMsg::Accepted { b, slot } => {
+            RsmMsg::Accepted { b, slot, emitted } => {
                 out.push(4);
                 b.encode(out);
                 slot.encode(out);
+                emitted.encode(out);
             }
             RsmMsg::Nack { b, higher } => {
                 out.push(5);
@@ -449,10 +465,12 @@ impl<V: Wire> Wire for RsmMsg<V> {
                 b: Ballot::decode(r)?,
                 slot: u64::decode(r)?,
                 entry: Entry::decode(r)?,
+                decided: decode_slots(r)?,
             }),
             4 => Ok(RsmMsg::Accepted {
                 b: Ballot::decode(r)?,
                 slot: u64::decode(r)?,
+                emitted: u64::decode(r)?,
             }),
             5 => Ok(RsmMsg::Nack {
                 b: Ballot::decode(r)?,
@@ -506,6 +524,41 @@ impl<V: Wire> Wire for RsmMsg<V> {
             }),
         }
     }
+}
+
+/// Encodes an ascending slot list as its length, the first slot, then the
+/// gap to each next slot, all varints: a run of consecutive slots costs one
+/// byte per slot after the first.
+fn encode_slots(slots: &[u64], out: &mut Vec<u8>) {
+    put_varint(out, slots.len() as u64);
+    let mut prev = 0;
+    for &slot in slots {
+        debug_assert!(slot >= prev, "slot lists are ascending");
+        put_varint(out, slot.wrapping_sub(prev));
+        prev = slot;
+    }
+}
+
+/// Decodes [`encode_slots`]. A length beyond the remaining bytes is
+/// rejected before allocating, and a gap that would carry a slot past
+/// `u64::MAX` is an error rather than a wrap.
+fn decode_slots(r: &mut WireReader<'_>) -> Result<Vec<u64>, WireError> {
+    let len = usize::decode(r)?;
+    if len > r.remaining() {
+        return Err(WireError::BadLength {
+            announced: len,
+            remaining: r.remaining(),
+        });
+    }
+    let mut slots = Vec::with_capacity(len);
+    let mut prev = 0u64;
+    for _ in 0..len {
+        prev = prev
+            .checked_add(r.varint()?)
+            .ok_or(WireError::VarintOverflow)?;
+        slots.push(prev);
+    }
+    Ok(slots)
 }
 
 /// Classifier for per-kind message statistics of [`ConsensusMsg`].
@@ -617,8 +670,13 @@ mod tests {
                 b,
                 slot: 0,
                 entry: Entry::Cmd(1),
+                decided: vec![],
             },
-            RsmMsg::Accepted { b, slot: 0 },
+            RsmMsg::Accepted {
+                b,
+                slot: 0,
+                emitted: 0,
+            },
             RsmMsg::Nack { b, higher: b },
             RsmMsg::Decide {
                 slot: 0,
@@ -698,6 +756,45 @@ mod tests {
             let decoded = RsmMsg::<u64>::from_bytes(&msg.to_bytes()).unwrap();
             assert_eq!(decoded, msg);
         }
+    }
+
+    #[test]
+    fn decided_lists_round_trip_as_delta_varints() {
+        let b = Ballot::new(3, ProcessId(1));
+        for decided in [vec![], vec![0], vec![7, 8, 9, 12], vec![5, u64::MAX]] {
+            let msg: RsmMsg<u64> = RsmMsg::Accept {
+                b,
+                slot: 40,
+                entry: Entry::Cmd(1),
+                decided,
+            };
+            assert_eq!(RsmMsg::<u64>::from_bytes(&msg.to_bytes()).unwrap(), msg);
+        }
+        // A dense run costs one byte per slot after the first.
+        let mut dense = Vec::new();
+        encode_slots(&[1_000_000, 1_000_001, 1_000_002], &mut dense);
+        assert_eq!(dense.len(), 1 + 3 + 1 + 1);
+    }
+
+    #[test]
+    fn hostile_decided_lists_are_rejected_without_allocating() {
+        let slots = |bytes: &[u8]| decode_slots(&mut WireReader::new(bytes));
+        // A gap that carries the slot past u64::MAX.
+        let mut overflow = Vec::new();
+        put_varint(&mut overflow, 2);
+        put_varint(&mut overflow, u64::MAX);
+        put_varint(&mut overflow, 1);
+        assert_eq!(slots(&overflow), Err(WireError::VarintOverflow));
+        // A count longer than the frame.
+        let mut long = Vec::new();
+        put_varint(&mut long, u64::from(u32::MAX));
+        put_varint(&mut long, 1);
+        assert!(matches!(
+            slots(&long),
+            Err(WireError::BadLength { remaining: 1, .. })
+        ));
+        // A count that fits the frame but runs out of slots.
+        assert_eq!(slots(&[2, 1, 0x80, 0x80]), Err(WireError::Truncated));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The point of this module is the paper's *communication-efficient
 //! consensus* claim: once Ω stabilizes on a leader `ℓ` after GST, `ℓ` runs
 //! the ballot (phase-1) handshake **once** for all future slots, and every
-//! subsequent command commits in a single `Accept`/`Accepted` round trip plus
-//! a `Decide` notification — Θ(n) messages per decision, all sent by or
-//! addressed to `ℓ`. Experiment E7 measures exactly this steady state.
+//! subsequent command commits in a single `Accept`/`Accepted` round trip —
+//! Θ(n) messages per decision, all sent by or addressed to `ℓ`: 2(n−1) when
+//! the decision rides the next `Accept`, 4(n−1) when it needs its own
+//! `Decide`/`DecideAck`. Experiment E7 measures the latter steady state.
 //!
 //! Mechanics:
 //!
@@ -15,8 +16,16 @@
 //! * A newly `Led` leader re-proposes inherited entries, plugs the gaps left
 //!   by its predecessor with [`Entry::Noop`], then drains its pending command
 //!   queue into fresh slots.
-//! * Chosen slots are broadcast as `Decide` and retransmitted until each peer
-//!   acknowledges (fair-lossy links), and every process emits
+//! * A slot the leader chose through its own ballot's `Accepted` quorum is
+//!   announced on the next `Accept` (its `decided` list): an acceptor
+//!   holding that ballot's vote at the slot holds the chosen entry, learns
+//!   it in the same WAL write as its new vote, and acknowledges it with the
+//!   emission cursor on its `Accepted`. When no `Accept` leaves within one
+//!   tick, a flush timer sends a plain `Decide` instead.
+//! * Every other decision — a slot learned from another leader, or
+//!   re-announced after an election — is broadcast as `Decide`. Trackers
+//!   retransmit to each peer that has not acknowledged within a retry
+//!   period (fair-lossy links), and every process emits
 //!   [`RsmEvent::Committed`] in strict slot order.
 //!
 //! # Throughput path: batching and pipelining
@@ -167,6 +176,16 @@ struct Inflight<V> {
     acks: Vec<bool>,
 }
 
+/// Which peers acknowledged one chosen slot this replica announces.
+#[derive(Debug, Clone)]
+struct DecideTracker {
+    acks: Vec<bool>,
+    /// Tracked since the last retry tick: its announcement — a `Decide`, or
+    /// the `decided` list on an `Accept`, answered by the cursor on the
+    /// next `Accepted` — may still be in flight, so that tick skips it.
+    fresh: bool,
+}
+
 /// Bytes per [`RsmMsg::SnapshotChunk`] — small enough to stay far below the
 /// wire codec's frame cap with envelope overhead, large enough that real
 /// state blobs move in few round trips.
@@ -175,6 +194,14 @@ const SNAP_CHUNK_BYTES: usize = 32 * 1024;
 /// Retransmission rounds before an outgoing snapshot transfer is abandoned
 /// (a fresh `CatchUp` from the peer restarts it from scratch).
 const SNAP_MAX_ATTEMPTS: u32 = 10;
+
+/// One-tick timer that announces chosen slots as plain `Decide`s when no
+/// `Accept` left to carry them (see [`ReplicatedLog::flush_decides`]).
+pub(crate) const DECIDE_TIMER: TimerId = TimerId(1);
+
+/// The flush delay: the substrate's one-tick resolution, so follower apply
+/// lags the leader by at most one tick more than with an immediate `Decide`.
+const DECIDE_DELAY: Duration = Duration::from_ticks(1);
 
 /// Max `Decide`s served per `CatchUp` request — the laggard re-requests as
 /// it advances, so one huge burst never floods a link.
@@ -245,7 +272,12 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     highest_seen: Ballot,
     pending: VecDeque<V>,
     inflight: BTreeMap<u64, Inflight<V>>,
-    decide_trackers: BTreeMap<u64, Vec<bool>>,
+    decide_trackers: BTreeMap<u64, DecideTracker>,
+    /// Slots this leader chose through its own `Accepted` quorum at its
+    /// current ballot whose `Decide` has not left yet. The next `Accept`
+    /// carries them (its `decided` list); [`DECIDE_TIMER`] sends them as
+    /// plain `Decide`s when no `Accept` leaves within a tick.
+    undelivered: Vec<u64>,
     /// Peers that had not acknowledged a Decide when compaction pruned its
     /// tracker. The Decide bytes no longer exist here, so the next retry
     /// tick serves these peers a snapshot transfer instead — a peer missing
@@ -395,6 +427,7 @@ where
             pending: VecDeque::new(),
             inflight: BTreeMap::new(),
             decide_trackers: BTreeMap::new(),
+            undelivered: Vec::new(),
             snapshot_debtors: BTreeSet::new(),
             known_frontier: 0,
             storage: None,
@@ -628,9 +661,9 @@ where
         // their retransmission silently; remember them as snapshot debtors
         // so the next retry tick serves them a state transfer instead.
         let mut owed: Vec<ProcessId> = Vec::new();
-        for (_, acks) in self.decide_trackers.range(..watermark) {
+        for (_, tracker) in self.decide_trackers.range(..watermark) {
             for q in self.env.membership().others(self.me()) {
-                if !acks[q.as_usize()] {
+                if !tracker.acks[q.as_usize()] {
                     owed.push(q);
                 }
             }
@@ -1267,6 +1300,8 @@ where
             .unwrap_or(from_slot)
             .max(self.chosen.keys().next_back().map(|s| s + 1).unwrap_or(0))
             .max(floor);
+        // Decisions of an earlier ballot must not ride this ballot's Accepts.
+        self.flush_decides(ctx);
         self.state = LeaderState::Led {
             b,
             next_slot: horizon,
@@ -1424,7 +1459,13 @@ where
             },
         );
         self.emit_stage(ctx.now(), &entry, CmdStage::Propose);
-        ctx.broadcast(RsmMsg::Accept { b, slot, entry });
+        let decided = self.take_undelivered(ctx);
+        ctx.broadcast(RsmMsg::Accept {
+            b,
+            slot,
+            entry,
+            decided,
+        });
         self.try_choose(ctx, slot);
     }
 
@@ -1437,18 +1478,70 @@ where
         }
         let entry = inf.entry.clone();
         self.inflight.remove(&slot);
+        // Only a slot this quorum chose *here* may ride a later Accept: an
+        // acceptor holding this ballot's vote at it then holds the chosen
+        // entry. A slot already learned some other way (another leader's
+        // Decide, a snapshot) keeps the explicit Decide.
+        let own = slot >= self.watermark && !self.chosen.contains_key(&slot);
         self.learn(ctx, slot, entry.clone());
         if self.wedged {
             return;
         }
         self.track_decide(slot);
-        self.broadcast_decide(ctx, slot, entry);
+        if own {
+            if self.undelivered.is_empty() {
+                ctx.set_timer(DECIDE_TIMER, DECIDE_DELAY);
+            }
+            self.undelivered.push(slot);
+        } else {
+            self.broadcast_decide(ctx, slot, entry);
+        }
+    }
+
+    /// Hands the undelivered decisions, ascending, to the `Accept` about to
+    /// leave, and disarms the flush timer.
+    fn take_undelivered(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) -> Vec<u64> {
+        if self.undelivered.is_empty() {
+            return Vec::new();
+        }
+        ctx.cancel_timer(DECIDE_TIMER);
+        let mut slots = std::mem::take(&mut self.undelivered);
+        slots.sort_unstable();
+        slots
+    }
+
+    /// Announces the undelivered decisions as plain `Decide`s: no `Accept`
+    /// left within a tick of choosing them, or their ballot is over.
+    fn flush_decides(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
+        for slot in self.take_undelivered(ctx) {
+            // A slot compacted away meanwhile is owed as a snapshot instead
+            // (see `apply_watermark`).
+            if let Some(entry) = self.chosen.get(&slot).cloned() {
+                self.broadcast_decide(ctx, slot, entry);
+            }
+        }
+    }
+
+    /// Marks `from` as knowing every tracked decision in `slots`, dropping
+    /// trackers that every peer now acknowledged.
+    fn ack_decides(&mut self, from: ProcessId, slots: impl std::ops::RangeBounds<u64>) {
+        let mut done = Vec::new();
+        for (slot, tracker) in self.decide_trackers.range_mut(slots) {
+            tracker.acks[from.as_usize()] = true;
+            if tracker.acks.iter().all(|a| *a) {
+                done.push(*slot);
+            }
+        }
+        for slot in done {
+            self.decide_trackers.remove(&slot);
+        }
     }
 
     fn track_decide(&mut self, slot: u64) {
         let mut acks = vec![false; self.env.n()];
         acks[self.me().as_usize()] = true;
-        self.decide_trackers.insert(slot, acks);
+        self.decide_trackers
+            .insert(slot, DecideTracker { acks, fresh: true });
     }
 
     fn broadcast_decide(
@@ -1475,15 +1568,51 @@ where
             }) {
                 return;
             }
-            self.emit_stage(ctx.now(), &entry, CmdStage::Decide);
-            self.chosen.insert(slot, entry);
-            self.probe.emit(ProbeEvent::Decide {
-                node: self.me(),
-                at: ctx.now(),
-                slot,
-            });
+            self.note_chosen(ctx, slot, entry);
         }
         self.drain_committed(ctx);
+    }
+
+    /// Records a choice whose `Chosen` record is already durable.
+    fn note_chosen(
+        &mut self,
+        ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>,
+        slot: u64,
+        entry: Entry<V>,
+    ) {
+        self.emit_stage(ctx.now(), &entry, CmdStage::Decide);
+        self.chosen.insert(slot, entry);
+        self.probe.emit(ProbeEvent::Decide {
+            node: self.me(),
+            at: ctx.now(),
+            slot,
+        });
+    }
+
+    /// An acceptor's reading of the `decided` list on an `Accept` at `b`:
+    /// the listed slots at which it holds `b`'s own vote, with the voted
+    /// entries. Only those are known chosen — the leader lists a slot only
+    /// after `b`'s quorum chose it, and `b` proposes one entry per slot. A
+    /// vote at another ballot says nothing about what `b` chose. Slots
+    /// already learned, below the watermark, or out of ascending order
+    /// (duplicates included) are skipped, so a hostile list costs lookups,
+    /// never records.
+    fn learnable(&self, b: Ballot, decided: &[u64]) -> Vec<(u64, Entry<V>)> {
+        let mut learned: Vec<(u64, Entry<V>)> = Vec::new();
+        for &slot in decided {
+            if slot < self.watermark
+                || self.chosen.contains_key(&slot)
+                || learned.last().is_some_and(|(prev, _)| *prev >= slot)
+            {
+                continue;
+            }
+            if let Some((ab, entry)) = self.accepted.get(&slot) {
+                if *ab == b {
+                    learned.push((slot, entry.clone()));
+                }
+            }
+        }
+        learned
     }
 
     /// Emits `Committed` for every contiguously chosen slot at the emission
@@ -1864,12 +1993,13 @@ where
                 ctx.send(q, RsmMsg::CatchUp { low_slot });
             }
         }
-        // Retransmit decided slots to peers that have not acknowledged.
+        // Retransmit decided slots to peers that have not acknowledged for
+        // a whole retry period.
         let mut done = Vec::new();
         let trackers: Vec<(u64, Vec<bool>)> = self
             .decide_trackers
-            .iter()
-            .map(|(s, a)| (*s, a.clone()))
+            .iter_mut()
+            .filter_map(|(s, t)| (!std::mem::take(&mut t.fresh)).then(|| (*s, t.acks.clone())))
             .collect();
         for (slot, acks) in trackers {
             if acks.iter().all(|a| *a) {
@@ -1946,6 +2076,7 @@ where
                                     b,
                                     slot,
                                     entry: entry.clone(),
+                                    decided: Vec::new(),
                                 },
                             );
                         }
@@ -2049,21 +2180,51 @@ where
                     }
                 }
             }
-            RsmMsg::Accept { b, slot, entry } => {
+            RsmMsg::Accept {
+                b,
+                slot,
+                entry,
+                decided,
+            } => {
                 self.highest_seen = self.highest_seen.max(b);
                 if b >= self.promised {
-                    // Write-ahead: the vote must be durable before the
-                    // Accepted reply can leave.
-                    if !self.persist(&RsmRecord::Accepted {
-                        slot,
-                        b,
-                        entry: entry.clone(),
-                    }) {
+                    // Write-ahead, as one group: the decisions this Accept
+                    // carries and the vote must be durable before the
+                    // Committed outputs and the Accepted reply.
+                    let learned = self.learnable(b, &decided);
+                    let mut records: Vec<RsmRecord<V>> = learned
+                        .iter()
+                        .map(|(s, e)| RsmRecord::Chosen {
+                            slot: *s,
+                            entry: e.clone(),
+                        })
+                        .collect();
+                    // A retransmitted Accept repeats a vote already durable.
+                    if !matches!(self.accepted.get(&slot), Some((ab, e)) if *ab == b && *e == entry)
+                    {
+                        records.push(RsmRecord::Accepted {
+                            slot,
+                            b,
+                            entry: entry.clone(),
+                        });
+                    }
+                    if !self.persist_group(&records) {
                         return;
                     }
                     self.promised = b;
                     self.accepted.insert(slot, (b, entry));
-                    ctx.send(from, RsmMsg::Accepted { b, slot });
+                    for (s, e) in learned {
+                        self.note_chosen(ctx, s, e);
+                    }
+                    self.drain_committed(ctx);
+                    ctx.send(
+                        from,
+                        RsmMsg::Accepted {
+                            b,
+                            slot,
+                            emitted: self.emitted_upto,
+                        },
+                    );
                 } else {
                     ctx.send(
                         from,
@@ -2074,7 +2235,10 @@ where
                     );
                 }
             }
-            RsmMsg::Accepted { b, slot } => {
+            RsmMsg::Accepted { b, slot, emitted } => {
+                // The cursor acknowledges every Decide below it, whichever
+                // way the peer learned the slots.
+                self.ack_decides(from, ..emitted);
                 if let LeaderState::Led { b: cur, .. } = self.state {
                     if cur == b {
                         if let Some(inf) = self.inflight.get_mut(&slot) {
@@ -2103,14 +2267,7 @@ where
                 self.learn(ctx, slot, entry);
                 ctx.send(from, RsmMsg::DecideAck { slot });
             }
-            RsmMsg::DecideAck { slot } => {
-                if let Some(acks) = self.decide_trackers.get_mut(&slot) {
-                    acks[from.as_usize()] = true;
-                    if acks.iter().all(|a| *a) {
-                        self.decide_trackers.remove(&slot);
-                    }
-                }
-            }
+            RsmMsg::DecideAck { slot } => self.ack_decides(from, slot..=slot),
             RsmMsg::CatchUp { low_slot } => {
                 // The asker has emitted everything below `low_slot` — that
                 // is frontier evidence for *us* too (we may be the laggard).
@@ -2302,6 +2459,8 @@ where
         } else if timer == RETRY_TIMER {
             self.on_retry(ctx);
             ctx.set_timer(RETRY_TIMER, self.params.retry);
+        } else if timer == DECIDE_TIMER {
+            self.flush_decides(ctx);
         } else {
             debug_assert!(false, "unexpected timer {timer}");
         }
@@ -2378,6 +2537,12 @@ mod tests {
         ) -> Effects<RsmMsg<u64>, RsmEvent<u64>> {
             let mut ctx = Ctx::new(&self.env, now, &mut self.fx);
             self.sm.on_message(&mut ctx, ProcessId(from), msg);
+            self.fx.take()
+        }
+
+        fn fire(&mut self, timer: TimerId) -> Effects<RsmMsg<u64>, RsmEvent<u64>> {
+            let mut ctx = Ctx::new(&self.env, Instant::ZERO, &mut self.fx);
+            self.sm.on_timer(&mut ctx, timer);
             self.fx.take()
         }
 
@@ -2516,18 +2681,28 @@ mod tests {
             .iter()
             .all(|s| matches!(s.msg, RsmMsg::Accept { slot: 0, .. })));
         assert_eq!(fx.sends.len(), 2);
-        // One Accepted (plus self) = majority: commit + decide broadcast.
+        // One Accepted (plus self) = majority: commit, and arm the one-tick
+        // flush instead of broadcasting the Decide.
         let fx = h.deliver(
             1,
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 0,
+                emitted: 0,
             },
         );
         assert!(fx.outputs.contains(&RsmEvent::Committed {
             slot: 0,
             cmd: Some(7)
         }));
+        assert!(fx.sends.is_empty(), "the Decide waits: {:?}", fx.sends);
+        assert!(fx.timers.contains(&TimerCmd::Set {
+            timer: DECIDE_TIMER,
+            after: DECIDE_DELAY
+        }));
+        assert_eq!(h.sm.committed_len(), 1);
+        // No Accept left within the tick: the flush sends the Decide.
+        let fx = h.fire(DECIDE_TIMER);
         assert_eq!(
             fx.sends
                 .iter()
@@ -2535,7 +2710,278 @@ mod tests {
                 .count(),
             2
         );
-        assert_eq!(h.sm.committed_len(), 1);
+    }
+
+    fn accepted(slot: u64, emitted: u64) -> RsmMsg<u64> {
+        RsmMsg::Accepted {
+            b: b(1, 0),
+            slot,
+            emitted,
+        }
+    }
+
+    fn accept(ballot: Ballot, slot: u64, v: u64, decided: Vec<u64>) -> RsmMsg<u64> {
+        RsmMsg::Accept {
+            b: ballot,
+            slot,
+            entry: Entry::Cmd(v),
+            decided,
+        }
+    }
+
+    /// The `decided` lists on the Accepts in `fx`.
+    fn decided_lists(fx: &Effects<RsmMsg<u64>, RsmEvent<u64>>) -> Vec<Vec<u64>> {
+        fx.sends
+            .iter()
+            .filter_map(|s| match &s.msg {
+                RsmMsg::Accept { decided, .. } => Some(decided.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn committed_of(fx: &Effects<RsmMsg<u64>, RsmEvent<u64>>) -> Vec<(u64, Option<u64>)> {
+        fx.outputs
+            .iter()
+            .filter_map(|o| match o {
+                RsmEvent::Committed { slot, cmd } => Some((*slot, *cmd)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A follower (p1 of 3) over an in-memory WAL, and the WAL's handle.
+    fn durable_follower() -> (Harness, StorageHandle) {
+        let store = StorageHandle::in_memory();
+        let env = Env::new(ProcessId(1), 3);
+        let sm = ReplicatedLog::with_storage(&env, ConsensusParams::default(), store.clone())
+            .expect("fresh in-memory store");
+        let mut h = Harness {
+            env,
+            sm,
+            fx: Effects::new(),
+        };
+        h.start();
+        (h, store)
+    }
+
+    #[test]
+    fn the_next_accept_carries_the_decision_and_disarms_the_flush() {
+        let mut h = led_leader();
+        h.request(7);
+        h.deliver(1, accepted(0, 0));
+        // A retry tick inside the flush window leaves the slot to the flush.
+        assert!(!h
+            .retry_at(Instant::ZERO)
+            .sends
+            .iter()
+            .any(|s| matches!(s.msg, RsmMsg::Decide { slot: 0, .. })));
+        let fx = h.request(8);
+        assert_eq!(decided_lists(&fx), vec![vec![0], vec![0]]);
+        assert!(
+            !fx.sends
+                .iter()
+                .any(|s| matches!(s.msg, RsmMsg::Decide { .. })),
+            "no Decide frame when an Accept leaves within the tick"
+        );
+        assert!(fx.timers.contains(&TimerCmd::Cancel {
+            timer: DECIDE_TIMER
+        }));
+        // The list went out once; a stale flush has nothing left to send.
+        assert!(h.fire(DECIDE_TIMER).sends.is_empty());
+        // The followers' cursors on their next Accepted acknowledge it.
+        h.deliver(1, accepted(1, 1));
+        assert!(h.sm.decide_trackers.contains_key(&0), "p2 has not said");
+        h.deliver(2, accepted(1, 1));
+        assert!(!h.sm.decide_trackers.contains_key(&0));
+    }
+
+    #[test]
+    fn pipelined_decisions_ride_ascending_on_the_first_accept_only() {
+        let mut h = led_leader_with(batched_params(1, 4));
+        for v in [10, 11, 12] {
+            h.request(v);
+        }
+        // Chosen out of order.
+        h.deliver(1, accepted(2, 0));
+        h.deliver(1, accepted(0, 0));
+        let fx = h.request(13);
+        assert_eq!(decided_lists(&fx), vec![vec![0, 2], vec![0, 2]]);
+        h.deliver(1, accepted(1, 0));
+        h.request(14);
+        let fx = h.request(15);
+        assert_eq!(decided_lists(&fx), vec![vec![], vec![]], "pipeline full");
+    }
+
+    #[test]
+    fn a_ballot_change_flushes_undelivered_decisions() {
+        let mut h = led_leader();
+        h.request(7);
+        h.deliver(1, accepted(0, 0));
+        h.deliver(
+            2,
+            RsmMsg::Nack {
+                b: b(1, 0),
+                higher: b(4, 2),
+            },
+        );
+        assert!(!h.sm.is_established_leader());
+        let fx = h.fire(DECIDE_TIMER);
+        assert_eq!(
+            fx.sends
+                .iter()
+                .filter(|s| matches!(s.msg, RsmMsg::Decide { slot: 0, .. }))
+                .count(),
+            2,
+            "a deposed leader still announces what its quorum chose"
+        );
+    }
+
+    #[test]
+    fn leader_never_lists_a_slot_it_learned_from_another_ballot() {
+        let mut h = led_leader();
+        h.request(7);
+        // A higher ballot's leader decided slot 0 before our quorum formed.
+        h.deliver(
+            2,
+            RsmMsg::Decide {
+                slot: 0,
+                entry: Entry::Cmd(7),
+            },
+        );
+        let fx = h.deliver(1, accepted(0, 0));
+        assert_eq!(
+            fx.sends
+                .iter()
+                .filter(|s| matches!(s.msg, RsmMsg::Decide { slot: 0, .. }))
+                .count(),
+            2,
+            "a slot learned elsewhere keeps the explicit Decide"
+        );
+        assert!(h.sm.undelivered.is_empty());
+        let fx = h.request(8);
+        assert_eq!(decided_lists(&fx), vec![Vec::<u64>::new(); 2]);
+    }
+
+    #[test]
+    fn follower_learns_listed_slots_in_the_same_wal_write_as_the_vote() {
+        let (mut h, store) = durable_follower();
+        h.deliver(0, accept(b(1, 0), 0, 5, vec![]));
+        let before = store.flush_stats().flushes;
+        let fx = h.deliver(0, accept(b(1, 0), 1, 6, vec![0]));
+        assert_eq!(committed_of(&fx), vec![(0, Some(5))]);
+        assert_eq!(store.flush_stats().flushes, before + 1, "one write");
+        let records: Vec<RsmRecord<u64>> = store.load_records().unwrap();
+        assert_eq!(
+            records[records.len() - 2..],
+            [
+                RsmRecord::Chosen {
+                    slot: 0,
+                    entry: Entry::Cmd(5)
+                },
+                RsmRecord::Accepted {
+                    slot: 1,
+                    b: b(1, 0),
+                    entry: Entry::Cmd(6)
+                },
+            ]
+        );
+        assert!(fx.sends.iter().any(|s| s.msg
+            == RsmMsg::Accepted {
+                b: b(1, 0),
+                slot: 1,
+                emitted: 1
+            }));
+        // A later Decide for the same slot changes nothing.
+        let fx = h.deliver(
+            0,
+            RsmMsg::Decide {
+                slot: 0,
+                entry: Entry::Cmd(5),
+            },
+        );
+        assert!(committed_of(&fx).is_empty());
+        assert_eq!(h.sm.chosen(0), Some(&Entry::Cmd(5)));
+    }
+
+    #[test]
+    fn follower_never_learns_from_a_list_at_another_ballot() {
+        let mut h = Harness::new(1, 3);
+        h.start();
+        // p1 voted (b1, 5) at slot 0; ballot b2 chose something there that
+        // p1 never saw. b2's list must not promote p1's older vote.
+        h.deliver(0, accept(b(1, 0), 0, 5, vec![]));
+        let fx = h.deliver(2, accept(b(2, 2), 1, 9, vec![0]));
+        assert!(committed_of(&fx).is_empty());
+        assert_eq!(h.sm.chosen(0), None);
+        // Nor from a stale ballot's list, which is nacked outright.
+        h.deliver(2, accept(b(2, 2), 0, 8, vec![]));
+        let fx = h.deliver(0, accept(b(1, 0), 2, 6, vec![0]));
+        assert!(fx
+            .sends
+            .iter()
+            .any(|s| matches!(s.msg, RsmMsg::Nack { .. })));
+        assert_eq!(h.sm.chosen(0), None);
+        // b2's own list for the slot p1 now holds at b2 teaches the value
+        // b2 chose.
+        let fx = h.deliver(2, accept(b(2, 2), 3, 10, vec![0]));
+        assert_eq!(committed_of(&fx), vec![(0, Some(8))]);
+    }
+
+    #[test]
+    fn hostile_lists_never_learn_or_repeat_records() {
+        let (mut h, store) = durable_follower();
+        h.deliver(0, accept(b(1, 0), 0, 5, vec![]));
+        for list in [
+            vec![u64::MAX],
+            vec![1, 2, 3, u64::MAX - 1, u64::MAX],
+            vec![7; 64],
+        ] {
+            let fx = h.deliver(0, accept(b(1, 0), 9, 1, list));
+            assert!(committed_of(&fx).is_empty());
+        }
+        assert_eq!(h.sm.committed_len(), 0);
+        // Duplicated and out-of-order entries learn slot 0 once.
+        let before = store.load_records::<RsmRecord<u64>>().unwrap().len();
+        let fx = h.deliver(0, accept(b(1, 0), 10, 2, vec![0, 0, 0, u64::MAX, 0]));
+        assert_eq!(committed_of(&fx), vec![(0, Some(5))]);
+        assert_eq!(
+            store.load_records::<RsmRecord<u64>>().unwrap().len(),
+            before + 2,
+            "one Chosen, one Accepted"
+        );
+    }
+
+    #[test]
+    fn an_unacknowledged_decide_is_resent_after_a_full_retry_period() {
+        let mut h = led_leader();
+        h.request(7);
+        h.deliver(1, accepted(0, 0));
+        h.fire(DECIDE_TIMER);
+        h.deliver(1, RsmMsg::DecideAck { slot: 0 });
+        let resent = |fx: Effects<RsmMsg<u64>, RsmEvent<u64>>| -> Vec<ProcessId> {
+            fx.sends
+                .iter()
+                .filter(|s| matches!(s.msg, RsmMsg::Decide { slot: 0, .. }))
+                .map(|s| s.to)
+                .collect()
+        };
+        assert!(
+            resent(h.retry_at(Instant::ZERO)).is_empty(),
+            "the Decide may still be in flight"
+        );
+        assert_eq!(resent(h.retry_at(Instant::ZERO)), vec![ProcessId(2)]);
+    }
+
+    #[test]
+    fn accepted_cursor_cannot_ack_beyond_the_trackers() {
+        let mut h = led_leader();
+        h.request(7);
+        h.deliver(1, accepted(0, 0));
+        h.fire(DECIDE_TIMER);
+        h.deliver(1, accepted(0, u64::MAX));
+        h.deliver(2, accepted(0, u64::MAX));
+        assert!(h.sm.decide_trackers.is_empty());
     }
 
     #[test]
@@ -2623,6 +3069,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 0,
                 entry: Entry::Cmd(5),
+                decided: vec![],
             },
         );
         h.deliver(
@@ -2631,6 +3078,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 3,
                 entry: Entry::Cmd(8),
+                decided: vec![],
             },
         );
         let fx = h.deliver(
@@ -2678,6 +3126,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 0,
                 entry: Entry::Cmd(1),
+                decided: vec![],
             },
         );
         assert!(fx
@@ -2714,6 +3163,7 @@ mod tests {
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 0,
+                emitted: 0,
             },
         );
         assert_eq!(h.sm.committed_len(), 1);
@@ -2763,6 +3213,7 @@ mod tests {
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 0,
+                emitted: 0,
             },
         );
         assert!(h.sm.decide_trackers.contains_key(&0));
@@ -2785,6 +3236,7 @@ mod tests {
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 0,
+                emitted: 0,
             },
         );
         assert_eq!(h.sm.inflight_len(), 2);
@@ -2810,6 +3262,7 @@ mod tests {
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 0,
+                emitted: 0,
             },
         );
         let batched: Vec<Entry<u64>> = fx
@@ -2840,6 +3293,7 @@ mod tests {
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 0,
+                emitted: 0,
             },
         );
         let fx = h.deliver(
@@ -2847,6 +3301,7 @@ mod tests {
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 1,
+                emitted: 0,
             },
         );
         let committed: Vec<(u64, Option<u64>)> = fx
@@ -2980,6 +3435,7 @@ mod tests {
                     b: b(2, 0),
                     slot: 1,
                     entry: Entry::Cmd(8),
+                    decided: vec![],
                 },
             );
             fx.take();
@@ -3155,6 +3611,7 @@ mod tests {
                 b: b(1, 0),
                 slot: 6,
                 entry: Entry::Cmd(60),
+                decided: vec![],
             },
         );
         fx.take();
@@ -3382,6 +3839,7 @@ mod tests {
             RsmMsg::Accepted {
                 b: b(1, 0),
                 slot: 0,
+                emitted: 0,
             },
         );
         fx.take();

@@ -44,8 +44,26 @@ use serde::{Deserialize, Serialize};
 
 use crate::durable::RsmRecord;
 use crate::msg::{classify_rsm_msg, RsmMsg};
-use crate::rsm::{LifecycleId, ReplicatedLog, RsmEvent};
+use crate::rsm::{LifecycleId, ReplicatedLog, RsmEvent, DECIDE_TIMER};
 use crate::single::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
+
+/// Group decide-flush timers are remapped to this base plus the shard id,
+/// above the shared Ω's range (`OMEGA_TIMER_BASE..DECIDE_TIMER_BASE`).
+const DECIDE_TIMER_BASE: u32 = 2 * OMEGA_TIMER_BASE;
+
+/// The node-level id of group `shard`'s `timer`: the retry timer is the
+/// shard id itself, the decide-flush timer sits above the Ω range.
+fn group_timer(shard: ShardId, timer: TimerId) -> TimerId {
+    if timer == DECIDE_TIMER {
+        TimerId(DECIDE_TIMER_BASE + shard.0)
+    } else {
+        debug_assert_eq!(
+            timer, RETRY_TIMER,
+            "externally led groups arm only the retry and decide timers"
+        );
+        timer.offset(shard.0)
+    }
+}
 
 /// Identifier of one shard group. Shard ids are dense: `0..shard_count`.
 #[derive(
@@ -323,7 +341,8 @@ pub struct ShardRequest<V> {
 /// shard as for a hundred.
 ///
 /// Timer multiplexing: the shared Ω's timers are offset by
-/// `OMEGA_TIMER_BASE` (1000); group `s`'s retry timer maps to `TimerId(s)` —
+/// `OMEGA_TIMER_BASE` (1000); group `s`'s retry timer maps to `TimerId(s)`
+/// and its decide-flush timer to `TimerId(2000 + s)` —
 /// which is why shard ids must stay below the base.
 #[derive(Debug, Clone)]
 pub struct ShardedNode<V, P: Probe = NoopProbe> {
@@ -657,20 +676,21 @@ where
         }
     }
 
-    /// Detaches `shard`: its retry timer is cancelled and its group state
+    /// Detaches `shard`: its timers are cancelled and its group state
     /// dropped (a durable group's WAL segment survives for a future
     /// re-attach). A no-op if not attached.
     pub fn detach(&mut self, ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>, shard: ShardId) {
         if self.groups.remove(&shard).is_some() {
             self.placement.detach(shard);
-            ctx.cancel_timer(TimerId(shard.0));
+            ctx.cancel_timer(group_timer(shard, RETRY_TIMER));
+            ctx.cancel_timer(group_timer(shard, DECIDE_TIMER));
         }
     }
 
     /// Runs one step of the group of `shard` (silently dropped if not
     /// attached), translating its effects into the sharded envelope: sends
-    /// are tagged with the shard, the group's retry timer maps to
-    /// `TimerId(shard)`, commits become [`ShardEvent::Committed`]. Per-group
+    /// are tagged with the shard, the group's timers map to node-level ids
+    /// by `group_timer`, commits become [`ShardEvent::Committed`]. Per-group
     /// `Leader` events are suppressed — the shared Ω's announcement is the
     /// authoritative one and would otherwise repeat per shard.
     fn drive_group(
@@ -693,13 +713,9 @@ where
         for cmd in fx.timers {
             match cmd {
                 TimerCmd::Set { timer, after } => {
-                    debug_assert_eq!(
-                        timer, RETRY_TIMER,
-                        "externally led groups only arm the retry timer"
-                    );
-                    ctx.set_timer(timer.offset(shard.0), after);
+                    ctx.set_timer(group_timer(shard, timer), after);
                 }
-                TimerCmd::Cancel { timer } => ctx.cancel_timer(timer.offset(shard.0)),
+                TimerCmd::Cancel { timer } => ctx.cancel_timer(group_timer(shard, timer)),
             }
         }
         for o in fx.outputs {
@@ -832,7 +848,10 @@ where
         if self.wedged {
             return;
         }
-        if timer.0 >= OMEGA_TIMER_BASE {
+        if timer.0 >= DECIDE_TIMER_BASE {
+            let shard = ShardId(timer.0 - DECIDE_TIMER_BASE);
+            self.drive_group(ctx, shard, |g, gctx| g.on_timer(gctx, DECIDE_TIMER));
+        } else if timer.0 >= OMEGA_TIMER_BASE {
             let inner = TimerId(timer.0 - OMEGA_TIMER_BASE);
             self.drive_omega(ctx, |o, octx| o.on_timer(octx, inner));
         } else {
@@ -857,7 +876,7 @@ mod tests {
     use super::*;
     use crate::ballot::Ballot;
     use crate::msg::Entry;
-    use lls_primitives::Instant;
+    use lls_primitives::{Duration, Instant};
 
     type Node = ShardedNode<u64>;
     type Fx = Effects<ShardMsg<u64>, ShardEvent<u64>>;
@@ -930,6 +949,7 @@ mod tests {
                     msg: RsmMsg::Accepted {
                         b: Ballot::new(1, ProcessId(0)),
                         slot,
+                        emitted: 0,
                     },
                 },
             )
@@ -1034,6 +1054,33 @@ mod tests {
     }
 
     #[test]
+    fn each_group_flushes_its_decides_on_its_own_timer() {
+        let mut h = Harness::new(0, 3, 2);
+        h.start();
+        h.promise(1, 0);
+        h.promise(1, 1);
+        h.request(1, 77);
+        let out = h.accepted(1, 1, 0);
+        let flush = TimerId(DECIDE_TIMER_BASE + 1);
+        assert!(
+            out.timers.contains(&TimerCmd::Set {
+                timer: flush,
+                after: Duration::from_ticks(1)
+            }),
+            "shard1's flush timer sits above the Ω range: {:?}",
+            out.timers
+        );
+        let mut ctx = Ctx::new(&h.env, Instant::ZERO, &mut h.fx);
+        h.sm.on_timer(&mut ctx, flush);
+        let out = h.fx.take();
+        assert_eq!(out.sends.len(), 2, "{:?}", out.sends);
+        assert!(out.sends.iter().all(|s| matches!(
+            &s.msg,
+            ShardMsg::Rsm { shard, msg: RsmMsg::Decide { slot: 0, .. } } if shard.0 == 1
+        )));
+    }
+
+    #[test]
     fn rsm_traffic_is_tagged_and_omega_traffic_is_not() {
         // The envelope property shard-aware transports key off: group
         // traffic advertises its shard, the shared Ω's does not.
@@ -1064,6 +1111,7 @@ mod tests {
                     b: Ballot::new(1, ProcessId(0)),
                     slot: 4,
                     entry: Entry::Batch(vec![1, 2]),
+                    decided: vec![],
                 },
             },
         ];

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
 use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_primitives::{Duration, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 
 fn system_s(n: usize, source: u32) -> Topology {
@@ -274,8 +274,9 @@ fn replicated_log_survives_leader_crash_without_losing_commits() {
 #[test]
 fn steady_state_costs_are_linear_per_decision() {
     // The communication-efficiency claim for consensus: once the leader is
-    // established, a command costs ~3(n-1) messages (Accept out, Accepted
-    // in, Decide out) plus acks — Θ(n), with no Prepare traffic at all.
+    // established, a command costs 4(n-1) messages when commands are spaced
+    // wider than the one-tick decide flush (Accept out, Accepted in, Decide
+    // out, DecideAck in) — Θ(n), with no Prepare traffic at all.
     let n = 5;
     let mut sim = SimBuilder::new(n)
         .seed(41)
@@ -317,4 +318,68 @@ fn steady_state_costs_are_linear_per_decision() {
         "steady-state cost too high: {per_command:.1} msgs/cmd"
     );
     assert_eq!(sim.node(ProcessId(0)).committed_len(), commands);
+}
+
+#[test]
+fn back_to_back_commands_cost_two_messages_per_peer_and_one_follower_write() {
+    // A request every tick keeps an Accept leaving within the one-tick
+    // decide flush, so each decision rides the next Accept: Accept out and
+    // Accepted in, 2(n-1) messages per command, and every follower persists
+    // its vote and the decisions the Accept carries in one WAL write. The
+    // retry tick's retransmission of in-flight Accepts stays within the +1.
+    let n = 5;
+    let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+    let mut sim = SimBuilder::new(n)
+        .seed(43)
+        .topology(Topology::all_timely(n, Duration::from_ticks(1)))
+        .classify(consensus::classify_rsm_msg)
+        .build_with(|env| {
+            ReplicatedLog::<u64>::with_storage(
+                env,
+                ConsensusParams::default(),
+                stores[env.id().as_usize()].clone(),
+            )
+            .expect("fresh in-memory store")
+        });
+    sim.run_until(Instant::from_ticks(10_000));
+    let commands = 400u64;
+    for k in 0..commands {
+        sim.schedule_request(Instant::from_ticks(10_001 + k), ProcessId(0), k);
+    }
+    // Measure a window of the stream, past its ramp-up and before its tail:
+    // one command enters per tick.
+    let (from, to) = (10_100, 10_300);
+    let kind = |sim: &Simulator<ReplicatedLog<u64>>, k: &str| {
+        sim.stats().kind_counts().get(k).copied().unwrap_or(0)
+    };
+    let counts = |sim: &Simulator<ReplicatedLog<u64>>| {
+        (
+            sim.stats().total_sent() - kind(sim, "ALIVE"),
+            kind(sim, "DECIDE") + kind(sim, "DECIDE_ACK"),
+        )
+    };
+    sim.run_until(Instant::from_ticks(from));
+    let (sent_before, decides_before) = counts(&sim);
+    let writes_before: Vec<u64> = stores.iter().map(|s| s.flush_stats().flushes).collect();
+    sim.run_until(Instant::from_ticks(to));
+    let (sent_after, decides_after) = counts(&sim);
+    let window = to - from;
+    let per_command = (sent_after - sent_before) as f64 / window as f64;
+    assert!(
+        per_command <= (2 * (n - 1) + 1) as f64,
+        "steady-state cost too high: {per_command:.2} msgs/cmd"
+    );
+    assert_eq!(decides_after, decides_before, "no Decide frame left");
+    for (p, store) in stores.iter().enumerate().skip(1) {
+        assert_eq!(
+            store.flush_stats().flushes - writes_before[p],
+            window,
+            "p{p} must write once per command"
+        );
+    }
+    // The stream's tail flushes, and every replica converges.
+    sim.run_until(Instant::from_ticks(20_000));
+    for p in 0..n as u32 {
+        assert_eq!(sim.node(ProcessId(p)).committed_len(), commands, "p{p}");
+    }
 }

@@ -553,6 +553,7 @@ mod tests {
             consensus::RsmMsg::Accepted {
                 b: consensus::Ballot::new(1, ProcessId(0)),
                 slot: 0,
+                emitted: 0,
             },
         );
         let out = fx.take();

@@ -834,6 +834,7 @@ mod tests {
                     msg: RsmMsg::Accepted {
                         b: Ballot::new(1, ProcessId(0)),
                         slot: 0,
+                        emitted: 0,
                     },
                 },
             );

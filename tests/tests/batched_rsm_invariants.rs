@@ -165,6 +165,7 @@ proptest! {
                         RsmMsg::Accepted {
                             b: Ballot::new(1, ProcessId(0)),
                             slot: *slot,
+                            emitted: 0,
                         },
                     );
                     *slot += 1;

@@ -270,7 +270,11 @@ impl ShardDriver {
             .unwrap_or_else(|| panic!("shard{shard} sent no Accept: {:?}", out.sends));
         let out = self.deliver(ShardMsg::Rsm {
             shard: ShardId(shard),
-            msg: RsmMsg::Accepted { b, slot },
+            msg: RsmMsg::Accepted {
+                b,
+                slot,
+                emitted: 0,
+            },
         });
         assert!(
             out.outputs.iter().any(|o| matches!(

@@ -28,14 +28,18 @@ fn both_substrates_elect_p0_on_perfect_links() {
         assert_eq!(sim.node(p).leader(), ProcessId(0), "sim: {p} disagrees");
     }
 
-    // Threads.
+    // Threads. Links are only as timely as the scheduler: a stall of the
+    // whole process longer than the suspicion timeout fires every monitor
+    // before p0's next heartbeat is read, and the resulting accusation
+    // rightly moves the leader. A 2 ms tick (60 ms initial timeout) keeps
+    // the stalls of a loaded host below that bound.
     let cluster = Cluster::spawn(
         NetConfig {
             n,
             loss: 0.0,
             min_delay: StdDuration::from_micros(50),
             max_delay: StdDuration::from_micros(200),
-            tick: StdDuration::from_micros(200),
+            tick: StdDuration::from_millis(2),
             seed: 0,
         },
         |env| CommEffOmega::new(env, OmegaParams::default()),

@@ -87,6 +87,29 @@ fn consensus_msg() -> impl Strategy<Value = ConsensusMsg<Tagged<KvCmd>>> {
     ]
 }
 
+/// The ascending slot list an `Accept` carries: dense runs (one-byte
+/// gaps), sparse slots anywhere in `u64` (ten-byte gaps), or both.
+fn decided_slots() -> impl Strategy<Value = Vec<u64>> {
+    (
+        any::<u64>(),
+        proptest::collection::vec(0u64..4, 0..6),
+        proptest::collection::vec(any::<u64>(), 0..3),
+    )
+        .prop_map(|(start, gaps, sparse)| {
+            let mut slots: Vec<u64> = gaps
+                .iter()
+                .scan(start, |slot, gap| {
+                    *slot = slot.saturating_add(*gap);
+                    Some(*slot)
+                })
+                .chain(sparse)
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            slots
+        })
+}
+
 fn rsm_msg() -> impl Strategy<Value = RsmMsg<Tagged<KvCmd>>> {
     prop_oneof![
         omega_msg().prop_map(RsmMsg::Omega),
@@ -101,12 +124,19 @@ fn rsm_msg() -> impl Strategy<Value = RsmMsg<Tagged<KvCmd>>> {
                 accepted,
                 low_slot
             }),
-        (ballot(), any::<u64>(), entry()).prop_map(|(b, slot, entry)| RsmMsg::Accept {
+        (ballot(), any::<u64>(), entry(), decided_slots()).prop_map(|(b, slot, entry, decided)| {
+            RsmMsg::Accept {
+                b,
+                slot,
+                entry,
+                decided,
+            }
+        }),
+        (ballot(), any::<u64>(), any::<u64>()).prop_map(|(b, slot, emitted)| RsmMsg::Accepted {
             b,
             slot,
-            entry
+            emitted
         }),
-        (ballot(), any::<u64>()).prop_map(|(b, slot)| RsmMsg::Accepted { b, slot }),
         (ballot(), ballot()).prop_map(|(b, higher)| RsmMsg::Nack { b, higher }),
         (any::<u64>(), entry()).prop_map(|(slot, entry)| RsmMsg::Decide { slot, entry }),
         any::<u64>().prop_map(|slot| RsmMsg::DecideAck { slot }),
