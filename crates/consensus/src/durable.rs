@@ -5,9 +5,13 @@
 //! *told the rest of the system* survives the restart. For the protocols in
 //! this crate, that is exactly four kinds of state, each appended to the
 //! process's [`StorageHandle`](lls_primitives::StorageHandle) *before* the
-//! message that exposes it can leave the process (the runtimes drain effects
+//! message *or quorum count* that exposes it (the runtimes drain effects
 //! only after a handler returns, so an append inside the handler is durable
-//! first — the write-ahead rule):
+//! before any message leaves — the write-ahead rule). A record nothing has
+//! exposed yet need not be durable: a replicated-log leader's `Accept`
+//! announces a proposal, not its vote, so the leader writes the vote only
+//! when it counts itself toward a quorum or is about to reveal the vote in
+//! a `Promise`:
 //!
 //! | field | record | why it must survive |
 //! |---|---|---|
@@ -22,6 +26,17 @@
 //! outputs and the `Accepted` reply. A crash before the flush loses both
 //! (the leader retransmits); after it, both survive. A retransmitted
 //! `Accept` whose vote is already durable adds no `Accepted` record.
+//!
+//! The leader writes one group per slot: `[Accepted, Chosen]` — its own
+//! vote, then the choice it completes — when the followers' `Accepted`s
+//! bring the slot to one short of a quorum, before it counts itself and
+//! before the `Committed` output. A crash before that flush leaves no vote
+//! of the leader anywhere, and the slot is chosen, if at all, by followers'
+//! votes alone, which the next leader's `Promise`s reveal. A leader that
+//! leaves its ballot (abdicates, or promises a higher one) first writes the
+//! votes it still owes its in-flight slots — in the same group as the new
+//! `Promised` record, where one is written — so every later `Promise`
+//! reveals them. It never writes a vote at a ballot it has promised past.
 //!
 //! # Recovery ("recovering rejoin mode")
 //!

@@ -41,15 +41,20 @@
 //!   quorums concurrently; commands arriving while the pipeline is full
 //!   queue in `pending` and coalesce into the next batch.
 //!
-//! All new `Accepted` WAL records minted by one pump of the pipeline are
-//! persisted as a *single group* ([`StorageHandle::append_records`]) — one
-//! fsync-equivalent flush per pump, not per slot — so durability does not
-//! serialize the pipeline. Neither knob touches safety: every slot is still
-//! chosen by the ordinary ballot/quorum rules, a batch is just one entry
-//! whose payload happens to hold several commands, and the write-ahead rule
-//! (records durable before the handler returns, hence before any `Accept`
-//! leaves) is preserved verbatim. Experiment E19 measures the resulting
-//! decided-commands/sec and latency percentiles.
+//! The leader writes nothing before it proposes: an `Accept` announces a
+//! proposal, not the leader's vote. Its vote for a slot becomes durable only
+//! when it is first exposed — together with the `Chosen` record, as one
+//! group ([`StorageHandle::append_records`]), at the moment the followers'
+//! `Accepted`s bring the slot to one short of a quorum; or, for the slots
+//! still in flight, when the leader leaves its ballot (abdicates, or
+//! promises past it), so every later `Promise` reveals them. That is one
+//! WAL write per node per slot, off the leader's critical path until the
+//! choice. Neither knob touches safety: every slot is still chosen by the
+//! ordinary ballot/quorum rules, a batch is just one entry whose payload
+//! happens to hold several commands, and the write-ahead rule (a record is
+//! durable before the message or quorum count that exposes it) holds
+//! verbatim. Experiment E19 measures the resulting decided-commands/sec and
+//! latency percentiles.
 //!
 //! # Bounded recovery: snapshots, compaction, and snapshot-install catch-up
 //!
@@ -173,6 +178,8 @@ enum LeaderState<V> {
 #[derive(Debug, Clone)]
 struct Inflight<V> {
     entry: Entry<V>,
+    /// Durable votes at the leader's ballot. The leader's own entry stays
+    /// false until its vote is written (see [`ReplicatedLog::try_choose`]).
     acks: Vec<bool>,
 }
 
@@ -1207,6 +1214,13 @@ where
                 number: b.round(),
             });
         }
+        // Leaving the ballot: the proposals still in flight become our votes
+        // first, so a later Promise (our own self-promise on re-prepare
+        // included) reveals them and they are re-proposed, not lost.
+        let owed = self.owed_votes();
+        if self.persist_group(&owed) {
+            self.cast_votes(owed);
+        }
         self.state = LeaderState::Follower;
         self.inflight.clear();
         // A deposed leader must stop serving lease-reads immediately — the
@@ -1218,6 +1232,44 @@ where
                 shard: self.probe_shard,
                 seq: self.lease_seq,
             });
+        }
+    }
+
+    /// The `Accepted` records of the votes this leader still owes its
+    /// in-flight slots at its ballot `b`. They must be durable before it
+    /// leaves `b` — abdicates, or promises past it — so that every later
+    /// `Promise` reveals them. Empty unless Led at `b` with `promised == b`:
+    /// a leader that promised past its ballot may no longer vote at it.
+    fn owed_votes(&self) -> Vec<RsmRecord<V>> {
+        let LeaderState::Led { b, .. } = self.state else {
+            return Vec::new();
+        };
+        if self.promised != b {
+            return Vec::new();
+        }
+        let me = self.me().as_usize();
+        self.inflight
+            .iter()
+            .filter(|(_, inf)| !inf.acks[me])
+            .map(|(slot, inf)| RsmRecord::Accepted {
+                slot: *slot,
+                b,
+                entry: inf.entry.clone(),
+            })
+            .collect()
+    }
+
+    /// Counts the votes of `owed` (from [`ReplicatedLog::owed_votes`], now
+    /// durable) as cast.
+    fn cast_votes(&mut self, owed: Vec<RsmRecord<V>>) {
+        let me = self.me().as_usize();
+        for rec in owed {
+            if let RsmRecord::Accepted { slot, b, entry } = rec {
+                if let Some(inf) = self.inflight.get_mut(&slot) {
+                    inf.acks[me] = true;
+                }
+                self.accepted.insert(slot, (b, entry));
+            }
         }
     }
 
@@ -1332,37 +1384,24 @@ where
                 ctx.send(q, RsmMsg::CatchUp { low_slot });
             }
         }
-        // Group commit: one flush covers every inherited/no-op re-proposal.
-        let records: Vec<RsmRecord<V>> = proposals
-            .iter()
-            .map(|(slot, entry)| RsmRecord::Accepted {
-                slot: *slot,
-                b,
-                entry: entry.clone(),
-            })
-            .collect();
-        if !self.persist_group(&records) {
-            return;
-        }
         for (slot, entry) in announce {
             // Already chosen here: (re)announce so laggards catch up.
             self.track_decide(slot);
             self.broadcast_decide(ctx, slot, entry);
         }
         for (slot, entry) in proposals {
-            self.accept_persisted(ctx, slot, entry);
+            self.propose(ctx, slot, entry);
         }
         self.pump(ctx);
     }
 
     /// Fills free pipeline slots from the pending queue: coalesces up to
     /// `max_batch` queued commands per slot (a singleton stays [`Entry::Cmd`],
-    /// the pre-batching wire shape), persists every new `Accepted` record as
-    /// a single WAL group, then self-accepts and broadcasts each slot. A
-    /// no-op unless this replica is an established leader with both free
-    /// pipeline capacity and queued commands.
+    /// the pre-batching wire shape), then proposes each slot. A no-op unless
+    /// this replica is an established leader with both free pipeline
+    /// capacity and queued commands.
     fn pump(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>) {
-        let LeaderState::Led { b, next_slot } = self.state else {
+        let LeaderState::Led { next_slot, .. } = self.state else {
             return;
         };
         let max_batch = self.params.batch.max_batch.max(1);
@@ -1388,28 +1427,92 @@ where
                 self.emit_stage(ctx.now(), entry, CmdStage::BatchSeal);
             }
         }
-        // Write-ahead, once: all records of this pump become durable with a
-        // single flush before any Accept can leave.
-        let records: Vec<RsmRecord<V>> = planned
-            .iter()
-            .map(|(s, e)| RsmRecord::Accepted {
-                slot: *s,
+        if let LeaderState::Led { next_slot, .. } = &mut self.state {
+            *next_slot = slot;
+        }
+        for (s, entry) in planned {
+            self.propose(ctx, s, entry);
+        }
+    }
+
+    /// Broadcasts the `Accept` for `entry` at `slot`. Nothing is written
+    /// first: the proposal is not yet the leader's vote, which becomes
+    /// durable only once something exposes it ([`ReplicatedLog::try_choose`],
+    /// [`ReplicatedLog::owed_votes`]). No quorum can form here — the model
+    /// has n > 1, so a quorum needs a follower's vote.
+    fn propose(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, slot: u64, entry: Entry<V>) {
+        let LeaderState::Led { b, .. } = self.state else {
+            return;
+        };
+        self.inflight.insert(
+            slot,
+            Inflight {
+                entry: entry.clone(),
+                acks: vec![false; self.env.n()],
+            },
+        );
+        self.emit_stage(ctx.now(), &entry, CmdStage::Propose);
+        let decided = self.take_undelivered(ctx);
+        ctx.broadcast(RsmMsg::Accept {
+            b,
+            slot,
+            entry,
+            decided,
+        });
+    }
+
+    /// Chooses an in-flight slot once its durable votes reach a quorum. The
+    /// leader's own vote is written here, in the same group as the `Chosen`
+    /// record, when the followers' votes fall one short — counting it is
+    /// what exposes it — and only while it still holds its ballot's promise.
+    /// A quorum the leader is already in, or one of followers alone, writes
+    /// at most the `Chosen` record.
+    fn try_choose(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, slot: u64) {
+        let LeaderState::Led { b, .. } = self.state else {
+            return;
+        };
+        let Some(inf) = self.inflight.get(&slot) else {
+            return;
+        };
+        let votes = inf.acks.iter().filter(|a| **a).count();
+        let vote = !inf.acks[self.me().as_usize()] && self.promised == b;
+        if votes + usize::from(vote) < self.majority() {
+            return;
+        }
+        let entry = inf.entry.clone();
+        // Only a slot this quorum chose *here* may ride a later Accept: an
+        // acceptor holding this ballot's vote at it then holds the chosen
+        // entry. A slot already learned some other way (another leader's
+        // Decide, a snapshot) keeps the explicit Decide.
+        let own = slot >= self.watermark && !self.chosen.contains_key(&slot);
+        let mut records: Vec<RsmRecord<V>> = Vec::with_capacity(2);
+        if vote {
+            records.push(RsmRecord::Accepted {
+                slot,
                 b,
-                entry: e.clone(),
-            })
-            .collect();
+                entry: entry.clone(),
+            });
+        }
+        if own {
+            records.push(RsmRecord::Chosen {
+                slot,
+                entry: entry.clone(),
+            });
+        }
         let flushed_before = if P::ENABLED {
             self.storage.as_ref().map(StorageHandle::flush_stats)
         } else {
             None
         };
+        // Write-ahead: the vote before it is counted, the choice before the
+        // Committed output and any announcement.
         if !self.persist_group(&records) {
             return;
         }
-        if P::ENABLED {
-            // One WalFsync per pump: the group commit is the unit the disk
-            // saw, and its duration is what the fsync-spike detector and the
-            // wal_commit lifecycle stage attribute.
+        if P::ENABLED && !records.is_empty() {
+            // One WalFsync per choice: this group is the leader's commit
+            // flush, and its duration is what the fsync-spike detector and
+            // the wal_commit lifecycle stage attribute.
             if let (Some(before), Some(store)) = (flushed_before, &self.storage) {
                 let micros = store
                     .flush_stats()
@@ -1422,71 +1525,16 @@ where
                     records: records.len() as u64,
                 });
             }
-            for (_, entry) in &planned {
-                self.emit_stage(ctx.now(), entry, CmdStage::WalCommit);
-            }
+            self.emit_stage(ctx.now(), &entry, CmdStage::WalCommit);
         }
-        if let LeaderState::Led { next_slot, .. } = &mut self.state {
-            *next_slot = slot;
-        }
-        for (s, entry) in planned {
-            self.accept_persisted(ctx, s, entry);
-        }
-    }
-
-    /// Self-accepts `entry` at `slot`, broadcasts the `Accept`, and checks
-    /// for an (n = 1 or retransmission-fed) instant quorum. The matching
-    /// `Accepted` WAL record must already be durable — callers persist
-    /// (individually or as a group) *before* this runs, preserving the
-    /// write-ahead rule.
-    fn accept_persisted(
-        &mut self,
-        ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>,
-        slot: u64,
-        entry: Entry<V>,
-    ) {
-        let LeaderState::Led { b, .. } = self.state else {
-            return;
-        };
-        self.accepted.insert(slot, (b, entry.clone()));
-        let mut acks = vec![false; self.env.n()];
-        acks[self.me().as_usize()] = true;
-        self.inflight.insert(
-            slot,
-            Inflight {
-                entry: entry.clone(),
-                acks,
-            },
-        );
-        self.emit_stage(ctx.now(), &entry, CmdStage::Propose);
-        let decided = self.take_undelivered(ctx);
-        ctx.broadcast(RsmMsg::Accept {
-            b,
-            slot,
-            entry,
-            decided,
-        });
-        self.try_choose(ctx, slot);
-    }
-
-    fn try_choose(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, slot: u64) {
-        let Some(inf) = self.inflight.get(&slot) else {
-            return;
-        };
-        if inf.acks.iter().filter(|a| **a).count() < self.majority() {
-            return;
-        }
-        let entry = inf.entry.clone();
         self.inflight.remove(&slot);
-        // Only a slot this quorum chose *here* may ride a later Accept: an
-        // acceptor holding this ballot's vote at it then holds the chosen
-        // entry. A slot already learned some other way (another leader's
-        // Decide, a snapshot) keeps the explicit Decide.
-        let own = slot >= self.watermark && !self.chosen.contains_key(&slot);
-        self.learn(ctx, slot, entry.clone());
-        if self.wedged {
-            return;
+        if vote {
+            self.accepted.insert(slot, (b, entry.clone()));
         }
+        if own {
+            self.note_chosen(ctx, slot, entry.clone());
+        }
+        self.drain_committed(ctx);
         self.track_decide(slot);
         if own {
             if self.undelivered.is_empty() {
@@ -2119,10 +2167,16 @@ where
                 }
                 if b >= self.promised {
                     // Write-ahead: the promise must be durable before the
-                    // Promise reply can leave.
-                    if !self.persist(&RsmRecord::Promised(b)) {
+                    // Promise reply can leave — in one group after the votes
+                    // a leader still owes its in-flight slots, which the
+                    // reply then reveals.
+                    let mut records = self.owed_votes();
+                    records.push(RsmRecord::Promised(b));
+                    if !self.persist_group(&records) {
                         return;
                     }
+                    records.pop();
+                    self.cast_votes(records);
                     self.promised = b;
                     let accepted: Vec<(u64, Ballot, Entry<V>)> = self
                         .accepted
@@ -2190,15 +2244,20 @@ where
                 if b >= self.promised {
                     // Write-ahead, as one group: the decisions this Accept
                     // carries and the vote must be durable before the
-                    // Committed outputs and the Accepted reply.
+                    // Committed outputs and the Accepted reply. A leader
+                    // this Accept moves past its own ballot first writes the
+                    // votes it still owes (see `owed_votes`).
+                    let mut records = if b > self.promised {
+                        self.owed_votes()
+                    } else {
+                        Vec::new()
+                    };
+                    let owed = records.len();
                     let learned = self.learnable(b, &decided);
-                    let mut records: Vec<RsmRecord<V>> = learned
-                        .iter()
-                        .map(|(s, e)| RsmRecord::Chosen {
-                            slot: *s,
-                            entry: e.clone(),
-                        })
-                        .collect();
+                    records.extend(learned.iter().map(|(s, e)| RsmRecord::Chosen {
+                        slot: *s,
+                        entry: e.clone(),
+                    }));
                     // A retransmitted Accept repeats a vote already durable.
                     if !matches!(self.accepted.get(&slot), Some((ab, e)) if *ab == b && *e == entry)
                     {
@@ -2211,6 +2270,8 @@ where
                     if !self.persist_group(&records) {
                         return;
                     }
+                    records.truncate(owed);
+                    self.cast_votes(records);
                     self.promised = b;
                     self.accepted.insert(slot, (b, entry));
                     for (s, e) in learned {
@@ -2240,7 +2301,9 @@ where
                 // way the peer learned the slots.
                 self.ack_decides(from, ..emitted);
                 if let LeaderState::Led { b: cur, .. } = self.state {
-                    if cur == b {
+                    // Our own vote is counted only once written (`try_choose`),
+                    // never on a message claiming to come from us.
+                    if cur == b && from != self.me() {
                         if let Some(inf) = self.inflight.get_mut(&slot) {
                             inf.acks[from.as_usize()] = true;
                             self.try_choose(ctx, slot);
@@ -2750,10 +2813,11 @@ mod tests {
             .collect()
     }
 
-    /// A follower (p1 of 3) over an in-memory WAL, and the WAL's handle.
-    fn durable_follower() -> (Harness, StorageHandle) {
+    /// Replica `me` of 3 over an in-memory WAL, started, and the WAL's
+    /// handle.
+    fn durable(me: u32) -> (Harness, StorageHandle) {
         let store = StorageHandle::in_memory();
-        let env = Env::new(ProcessId(1), 3);
+        let env = Env::new(ProcessId(me), 3);
         let sm = ReplicatedLog::with_storage(&env, ConsensusParams::default(), store.clone())
             .expect("fresh in-memory store");
         let mut h = Harness {
@@ -2865,7 +2929,7 @@ mod tests {
 
     #[test]
     fn follower_learns_listed_slots_in_the_same_wal_write_as_the_vote() {
-        let (mut h, store) = durable_follower();
+        let (mut h, store) = durable(1);
         h.deliver(0, accept(b(1, 0), 0, 5, vec![]));
         let before = store.flush_stats().flushes;
         let fx = h.deliver(0, accept(b(1, 0), 1, 6, vec![0]));
@@ -2904,6 +2968,227 @@ mod tests {
         assert_eq!(h.sm.chosen(0), Some(&Entry::Cmd(5)));
     }
 
+    /// p0 of 3 over an in-memory WAL, Led at `b(1, 0)`, and the WAL's
+    /// handle.
+    fn durable_leader() -> (Harness, StorageHandle) {
+        let (mut h, store) = durable(0);
+        h.deliver(
+            1,
+            RsmMsg::Promise {
+                b: b(1, 0),
+                accepted: vec![],
+                low_slot: 0,
+            },
+        );
+        assert!(h.sm.is_established_leader());
+        (h, store)
+    }
+
+    /// The `Accepted` records in `store`, as `(slot, ballot)`.
+    fn accepted_records(store: &StorageHandle) -> Vec<(u64, Ballot)> {
+        store
+            .load_records::<RsmRecord<u64>>()
+            .unwrap()
+            .into_iter()
+            .filter_map(|r| match r {
+                RsmRecord::Accepted { slot, b, .. } => Some((slot, b)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_accept_leaves_before_the_leader_writes_and_its_vote_rides_its_choice() {
+        let (mut h, store) = durable_leader();
+        let before = store.flush_stats().flushes;
+        let fx = h.request(7);
+        assert_eq!(
+            fx.sends
+                .iter()
+                .filter(|s| matches!(s.msg, RsmMsg::Accept { slot: 0, .. }))
+                .count(),
+            2
+        );
+        assert_eq!(store.flush_stats().flushes, before, "no write yet");
+        assert!(accepted_records(&store).is_empty());
+        assert_eq!(h.sm.accepted.get(&0), None, "not a vote until written");
+        // An Accepted claiming to come from the leader itself counts nothing.
+        assert!(committed_of(&h.deliver(0, accepted(0, 0))).is_empty());
+        assert_eq!(store.flush_stats().flushes, before);
+        // The first Accepted is one short of a quorum: one write carries the
+        // leader's vote and the choice.
+        let fx = h.deliver(1, accepted(0, 0));
+        assert_eq!(committed_of(&fx), vec![(0, Some(7))]);
+        assert_eq!(store.flush_stats().flushes, before + 1);
+        let records: Vec<RsmRecord<u64>> = store.load_records().unwrap();
+        assert_eq!(
+            records[records.len() - 2..],
+            [
+                RsmRecord::Accepted {
+                    slot: 0,
+                    b: b(1, 0),
+                    entry: Entry::Cmd(7)
+                },
+                RsmRecord::Chosen {
+                    slot: 0,
+                    entry: Entry::Cmd(7)
+                },
+            ]
+        );
+        // A late Accepted writes nothing.
+        let fx = h.deliver(2, accepted(0, 0));
+        assert!(committed_of(&fx).is_empty());
+        assert_eq!(store.flush_stats().flushes, before + 1);
+    }
+
+    #[test]
+    fn a_higher_prepare_writes_the_in_flight_votes_with_the_promise() {
+        let (mut h, store) = durable_leader();
+        h.request(7);
+        h.request(8);
+        let before = store.flush_stats().flushes;
+        let fx = h.deliver(
+            2,
+            RsmMsg::Prepare {
+                b: b(2, 2),
+                from_slot: 0,
+            },
+        );
+        assert_eq!(store.flush_stats().flushes, before + 1, "one group");
+        let records: Vec<RsmRecord<u64>> = store.load_records().unwrap();
+        assert_eq!(
+            records[records.len() - 3..],
+            [
+                RsmRecord::Accepted {
+                    slot: 0,
+                    b: b(1, 0),
+                    entry: Entry::Cmd(7)
+                },
+                RsmRecord::Accepted {
+                    slot: 1,
+                    b: b(1, 0),
+                    entry: Entry::Cmd(8)
+                },
+                RsmRecord::Promised(b(2, 2)),
+            ]
+        );
+        let revealed = fx
+            .sends
+            .iter()
+            .find_map(|s| match &s.msg {
+                RsmMsg::Promise { accepted, .. } => Some(accepted.clone()),
+                _ => None,
+            })
+            .expect("must promise the higher ballot");
+        assert_eq!(
+            revealed,
+            vec![(0, b(1, 0), Entry::Cmd(7)), (1, b(1, 0), Entry::Cmd(8))]
+        );
+        // The votes were cast before the promise: one more Accepted at b1
+        // completes a quorum and writes only the choice.
+        let fx = h.deliver(1, accepted(0, 0));
+        assert_eq!(committed_of(&fx), vec![(0, Some(7))]);
+        assert_eq!(store.flush_stats().flushes, before + 2);
+        assert_eq!(accepted_records(&store).len(), 2);
+    }
+
+    #[test]
+    fn an_accept_at_a_higher_ballot_writes_the_in_flight_votes_first() {
+        let (mut h, store) = durable_leader();
+        h.request(7);
+        let before = store.flush_stats().flushes;
+        h.deliver(2, accept(b(2, 2), 0, 9, vec![]));
+        assert_eq!(store.flush_stats().flushes, before + 1, "one group");
+        assert_eq!(accepted_records(&store), vec![(0, b(1, 0)), (0, b(2, 2))]);
+        assert_eq!(h.sm.accepted.get(&0), Some(&(b(2, 2), Entry::Cmd(9))));
+    }
+
+    #[test]
+    fn a_leader_promised_past_its_ballot_never_votes_at_it() {
+        let (mut h, store) = durable_leader();
+        // Nothing in flight: the promise carries no votes.
+        h.deliver(
+            2,
+            RsmMsg::Prepare {
+                b: b(2, 2),
+                from_slot: 0,
+            },
+        );
+        assert!(h.sm.is_established_leader(), "not yet nacked");
+        h.request(7);
+        // One follower vote is one short, and the leader may not fill in.
+        let fx = h.deliver(1, accepted(0, 0));
+        assert!(committed_of(&fx).is_empty());
+        assert!(accepted_records(&store).is_empty());
+        // A quorum of followers alone chooses; the leader writes the choice.
+        let fx = h.deliver(2, accepted(0, 0));
+        assert_eq!(committed_of(&fx), vec![(0, Some(7))]);
+        assert!(accepted_records(&store).is_empty());
+        assert_eq!(h.sm.accepted.get(&0), None);
+        // Nor does abdicating write a vote at the old ballot.
+        h.request(8);
+        h.deliver(
+            2,
+            RsmMsg::Nack {
+                b: b(1, 0),
+                higher: b(2, 2),
+            },
+        );
+        assert!(!h.sm.is_established_leader());
+        assert!(accepted_records(&store).is_empty());
+    }
+
+    #[test]
+    fn a_nacked_leader_re_proposes_its_in_flight_command_after_re_preparing() {
+        let (mut h, store) = durable_leader();
+        h.request(7);
+        h.deliver(
+            2,
+            RsmMsg::Nack {
+                b: b(1, 0),
+                higher: b(1, 2),
+            },
+        );
+        assert!(!h.sm.is_established_leader());
+        assert_eq!(accepted_records(&store), vec![(0, b(1, 0))]);
+        // Ω still names p0: the next retry tick re-prepares, and the
+        // self-promise reveals the vote written on the way out.
+        let fx = h.fire(RETRY_TIMER);
+        let nb = fx
+            .sends
+            .iter()
+            .find_map(|s| match s.msg {
+                RsmMsg::Prepare { b, .. } => Some(b),
+                _ => None,
+            })
+            .expect("re-prepares");
+        assert!(nb > b(1, 2));
+        let fx = h.deliver(
+            1,
+            RsmMsg::Promise {
+                b: nb,
+                accepted: vec![],
+                low_slot: 0,
+            },
+        );
+        assert!(fx.sends.iter().any(|s| s.msg
+            == RsmMsg::Accept {
+                b: nb,
+                slot: 0,
+                entry: Entry::Cmd(7),
+                decided: vec![],
+            }));
+        let fx = h.deliver(
+            1,
+            RsmMsg::Accepted {
+                b: nb,
+                slot: 0,
+                emitted: 0,
+            },
+        );
+        assert_eq!(committed_of(&fx), vec![(0, Some(7))]);
+    }
+
     #[test]
     fn follower_never_learns_from_a_list_at_another_ballot() {
         let mut h = Harness::new(1, 3);
@@ -2930,7 +3215,7 @@ mod tests {
 
     #[test]
     fn hostile_lists_never_learn_or_repeat_records() {
-        let (mut h, store) = durable_follower();
+        let (mut h, store) = durable(1);
         h.deliver(0, accept(b(1, 0), 0, 5, vec![]));
         for list in [
             vec![u64::MAX],

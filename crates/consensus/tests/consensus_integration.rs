@@ -3,9 +3,13 @@
 
 use std::collections::BTreeMap;
 
-use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
-use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
-use lls_primitives::{Duration, Instant, ProcessId, StorageHandle};
+use consensus::checker::{
+    check_consensus_safety, check_integrity, check_log_consistency, DecisionRecord,
+};
+use consensus::{
+    Consensus, ConsensusEvent, ConsensusParams, Entry, ReplicatedLog, RsmEvent, RsmRecord,
+};
+use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 
 fn system_s(n: usize, source: u32) -> Topology {
@@ -321,12 +325,14 @@ fn steady_state_costs_are_linear_per_decision() {
 }
 
 #[test]
-fn back_to_back_commands_cost_two_messages_per_peer_and_one_follower_write() {
+fn back_to_back_commands_cost_two_messages_per_peer_and_one_write_per_node() {
     // A request every tick keeps an Accept leaving within the one-tick
     // decide flush, so each decision rides the next Accept: Accept out and
-    // Accepted in, 2(n-1) messages per command, and every follower persists
-    // its vote and the decisions the Accept carries in one WAL write. The
-    // retry tick's retransmission of in-flight Accepts stays within the +1.
+    // Accepted in, 2(n-1) messages per command. Every follower persists its
+    // vote and the decisions the Accept carries in one WAL write, and the
+    // leader persists its vote and its choice in one write when the quorum
+    // forms. The retry tick's retransmission of in-flight Accepts stays
+    // within the +1.
     let n = 5;
     let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
     let mut sim = SimBuilder::new(n)
@@ -370,7 +376,7 @@ fn back_to_back_commands_cost_two_messages_per_peer_and_one_follower_write() {
         "steady-state cost too high: {per_command:.2} msgs/cmd"
     );
     assert_eq!(decides_after, decides_before, "no Decide frame left");
-    for (p, store) in stores.iter().enumerate().skip(1) {
+    for (p, store) in stores.iter().enumerate() {
         assert_eq!(
             store.flush_stats().flushes - writes_before[p],
             window,
@@ -381,5 +387,99 @@ fn back_to_back_commands_cost_two_messages_per_peer_and_one_follower_write() {
     sim.run_until(Instant::from_ticks(20_000));
     for p in 0..n as u32 {
         assert_eq!(sim.node(ProcessId(p)).committed_len(), commands, "p{p}");
+    }
+}
+
+#[test]
+fn followers_votes_choose_a_slot_the_crashed_leader_never_voted_for() {
+    // p0 proposes and is killed while its Accepts are on the wire, before
+    // any Accepted returns — so before it ever wrote its own vote. The
+    // four followers' votes are a quorum without it. The next leader must
+    // recover the value from their promises, and the restarted p0 must
+    // converge to the same log without emitting any slot twice.
+    let n = 5;
+    let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+    let mut sim = SimBuilder::new(n)
+        .seed(47)
+        .topology(Topology::all_timely(n, Duration::from_ticks(5)))
+        .build_with(|env| {
+            ReplicatedLog::<u64>::with_storage(
+                env,
+                ConsensusParams::default(),
+                stores[env.id().as_usize()].clone(),
+            )
+            .expect("fresh in-memory store")
+        });
+    let p0 = ProcessId(0);
+    sim.schedule_request(Instant::from_ticks(10_000), p0, 1);
+    sim.run_until(Instant::from_ticks(10_500));
+    assert_eq!(sim.node(p0).committed_len(), 1, "p0 leads");
+    let accepted_at_p0 = || {
+        stores[0]
+            .load_records::<RsmRecord<u64>>()
+            .unwrap()
+            .into_iter()
+            .filter(|r| matches!(r, RsmRecord::Accepted { slot: 1, .. }))
+            .count()
+    };
+    sim.schedule_request(Instant::from_ticks(10_501), p0, 42);
+    sim.run_until(Instant::from_ticks(10_501));
+    assert_eq!(sim.node(p0).inflight_len(), 1, "the Accept left");
+    assert_eq!(accepted_at_p0(), 0, "p0 has not voted");
+    sim.kill(p0);
+
+    sim.run_until(Instant::from_ticks(60_000));
+    let leader = (1..n as u32)
+        .map(ProcessId)
+        .find(|&p| sim.node(p).is_established_leader())
+        .expect("a survivor leads");
+    assert_eq!(
+        sim.node(leader).chosen(1),
+        Some(&Entry::Cmd(42)),
+        "the new leader recovers the followers' choice"
+    );
+
+    let env = Env::new(p0, n);
+    let recovered =
+        ReplicatedLog::with_storage(&env, ConsensusParams::default(), stores[0].clone())
+            .expect("recover p0 from its WAL");
+    assert_eq!(recovered.chosen(1), None, "p0 never learned slot 1");
+    sim.restart(p0, recovered);
+    sim.schedule_request(Instant::from_ticks(60_001), leader, 43);
+    sim.run_until(Instant::from_ticks(120_000));
+    assert_eq!(
+        accepted_at_p0(),
+        0,
+        "the crashed proposal was never p0's vote"
+    );
+
+    let logs: Vec<BTreeMap<u64, Option<u64>>> = (0..n as u32)
+        .map(|p| sim.node(ProcessId(p)).chosen_log())
+        .collect();
+    check_log_consistency(&logs).unwrap();
+    for p in 0..n as u32 {
+        let stream: Vec<u64> = sim
+            .node(ProcessId(p))
+            .committed_commands()
+            .copied()
+            .collect();
+        assert_eq!(stream, vec![1, 42, 43], "p{p}");
+    }
+    // Each (process, slot) commits at most once across both incarnations.
+    for slot in 0..3u64 {
+        let commits: Vec<DecisionRecord<Option<u64>>> = sim
+            .outputs()
+            .iter()
+            .filter_map(|e| match &e.output {
+                RsmEvent::Committed { slot: s, cmd } if *s == slot => Some(DecisionRecord {
+                    at: e.at,
+                    process: e.process,
+                    value: *cmd,
+                }),
+                _ => None,
+            })
+            .collect();
+        check_integrity(&commits).unwrap();
+        assert_eq!(commits.len(), n, "slot {slot} commits once everywhere");
     }
 }
