@@ -2,7 +2,8 @@
 //! replicated-log steady-state commit throughput (simulated work per
 //! command, complementing experiment E7's message counts).
 
-use consensus::{Consensus, ConsensusParams, ReplicatedLog};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardRequest};
+use consensus::{Consensus, ConsensusParams, ShardedNode};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
@@ -36,13 +37,22 @@ fn bench_rsm_steady_state(c: &mut Criterion) {
                 let mut sim = SimBuilder::new(n)
                     .seed(3)
                     .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-                    .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+                    .build_with(|env| {
+                        let placement =
+                            PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+                        ShardedNode::<u64>::new(env, ConsensusParams::default(), placement)
+                    });
                 sim.run_until(Instant::from_ticks(5_000));
                 for k in 0..commands {
-                    sim.schedule_request(Instant::from_ticks(5_001 + 50 * k), ProcessId(0), k);
+                    let put = ShardRequest {
+                        shard: ShardId(0),
+                        cmd: k,
+                    };
+                    sim.schedule_request(Instant::from_ticks(5_001 + 50 * k), ProcessId(0), put);
                 }
                 sim.run_until(Instant::from_ticks(5_000 + 50 * commands + 3_000));
-                assert_eq!(sim.node(ProcessId(0)).committed_len(), commands);
+                let log = sim.node(ProcessId(0)).group(ShardId(0)).expect("group 0");
+                assert_eq!(log.committed_len(), commands);
             });
         });
     }

@@ -1,7 +1,10 @@
 //! Experiments E6–E7: the consensus claims.
 
 use consensus::checker::{check_consensus_safety, DecisionRecord};
-use consensus::{classify_rsm_msg, Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
+use consensus::shard::{
+    classify_shard_msg, PlacementManager, PlacementMap, ShardId, ShardRequest, ShardedNode,
+};
+use consensus::{Consensus, ConsensusEvent, ConsensusParams};
 use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
 
@@ -140,8 +143,11 @@ pub fn e7_steady_state(n: usize, commands: u64, horizon_pad: u64) -> Table {
         let mut sim = SimBuilder::new(n)
             .seed(5)
             .topology(topo)
-            .classify(classify_rsm_msg)
-            .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+            .classify(classify_shard_msg)
+            .build_with(|env| {
+                let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+                ShardedNode::<u64>::new(env, ConsensusParams::default(), placement)
+            });
         // Establish the leader.
         sim.run_until(Instant::from_ticks(10_000));
         let leader = sim.node(ProcessId(0)).omega().leader();
@@ -153,7 +159,11 @@ pub fn e7_steady_state(n: usize, commands: u64, horizon_pad: u64) -> Table {
             .unwrap_or(0);
         let total_before = sim.stats().total_sent();
         for k in 0..commands {
-            sim.schedule_request(Instant::from_ticks(10_001 + 150 * k), leader, k);
+            let put = ShardRequest {
+                shard: ShardId(0),
+                cmd: k,
+            };
+            sim.schedule_request(Instant::from_ticks(10_001 + 150 * k), leader, put);
         }
         let end = 10_000 + 150 * commands + horizon_pad;
         sim.run_until(Instant::from_ticks(end));
@@ -163,7 +173,11 @@ pub fn e7_steady_state(n: usize, commands: u64, horizon_pad: u64) -> Table {
             .get("PREPARE")
             .copied()
             .unwrap_or(0);
-        let committed = sim.node(leader).committed_len();
+        let committed = sim
+            .node(leader)
+            .group(ShardId(0))
+            .expect("group 0 is attached")
+            .committed_len();
         // Subtract the constant Ω heartbeat background from the marginal
         // message cost.
         let eta = ConsensusParams::default().omega.eta.ticks();

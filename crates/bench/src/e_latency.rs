@@ -36,16 +36,17 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::{BatchParams, ConsensusParams, PlacementManager, PlacementMap};
+use consensus::{
+    BatchParams, ConsensusParams, NodeStorage, PlacementManager, PlacementMap, ShardId,
+};
 use kvstore::{
-    ClientId, KvCmd, KvEvent, KvReplica, KvResponse, ShardedKvEvent, ShardedKvNode,
-    ShardedSubmitQueue, SubmitQueue, Tagged,
+    ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, ShardedSubmitQueue, Tagged,
 };
 use lls_obs::{
     attribute, fold_into_registry, reconstruct_paths, Attribution, CmdPath, NodeRecorders,
     NoopProbe, Probe, Registry, TimelineSampler,
 };
-use lls_primitives::{Duration, Instant, ProcessId, StorageHandle};
+use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{scrape, BackoffConfig, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
@@ -77,6 +78,24 @@ fn put(seq: u64) -> Tagged<KvCmd> {
         seq,
         cmd: KvCmd::put(format!("k{seq}"), format!("v{seq}")),
     }
+}
+
+/// An unsharded replica — one group — over in-memory WAL and Ω segments,
+/// observed by `probe`.
+fn replica<P: Probe>(env: &Env, params: ConsensusParams, probe: P) -> ShardedKvNode<P> {
+    let storage = NodeStorage {
+        wals: BTreeMap::from([(ShardId(0), StorageHandle::in_memory())]),
+        omega: Some(StorageHandle::in_memory()),
+        ..NodeStorage::default()
+    };
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedKvNode::open(env, params, placement, &storage, probe).expect("open in-memory stores")
+}
+
+/// The client queue of an unsharded run, windowed at `commands`.
+fn unsharded_queue<P: Probe>(n: usize, commands: u64, probe: P) -> ShardedSubmitQueue<P> {
+    let map = PlacementMap::uniform(1, n);
+    ShardedSubmitQueue::with_probe(map, commands as usize, ProcessId(0), probe)
 }
 
 fn params(max_batch: usize, depth: usize) -> ConsensusParams {
@@ -203,22 +222,14 @@ fn netsim_drive<P: Probe>(
     depth: usize,
     seed: u64,
     node_probe: impl Fn(ProcessId) -> P,
-    mut queue: SubmitQueue<P>,
+    mut queue: ShardedSubmitQueue<P>,
     mut on_tick: impl FnMut(u64),
 ) -> NetsimDrive {
     let p = params(max_batch, depth);
     let mut sim = SimBuilder::new(n)
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .build_with(|env| {
-            KvReplica::with_storage_and_probe(
-                env,
-                p,
-                StorageHandle::in_memory(),
-                node_probe(env.id()),
-            )
-            .expect("open in-memory store")
-        });
+        .build_with(|env| replica(env, p, node_probe(env.id())));
     let issue_base = 2_000u64;
     sim.run_until(Instant::from_ticks(issue_base));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -240,11 +251,10 @@ fn netsim_drive<P: Probe>(
                 queue.submit(put(submitted));
             }
         }
-        for cmd in queue.drain() {
-            sim.schedule_request(Instant::from_ticks(now), leader, cmd);
-        }
-        for cmd in queue.on_tick() {
-            sim.schedule_request(Instant::from_ticks(now), leader, cmd);
+        for (_, cmds) in queue.drain().into_iter().chain(queue.on_tick()) {
+            for cmd in cmds {
+                sim.schedule_request(Instant::from_ticks(now), leader, cmd);
+            }
         }
         sim.run_until(Instant::from_ticks(now));
         let outputs = sim.outputs();
@@ -252,7 +262,7 @@ fn netsim_drive<P: Probe>(
             if ev.process != leader {
                 continue;
             }
-            if let KvEvent::Applied {
+            if let ShardedKvEvent::Applied {
                 client,
                 seq,
                 response,
@@ -294,11 +304,7 @@ fn netsim_run(
 ) -> (LatencyRow, NetsimDrive) {
     let recorders = Arc::new(NodeRecorders::new(n, (commands as usize * 16).max(4_096)));
     let rec = Arc::clone(&recorders);
-    let queue = SubmitQueue::with_probe(
-        commands as usize,
-        ProcessId(0),
-        recorders.probe_for(ProcessId(0)),
-    );
+    let queue = unsharded_queue(n, commands, recorders.probe_for(ProcessId(0)));
     let reg = recorders.registry();
     let drive = netsim_drive(
         n,
@@ -342,7 +348,7 @@ fn netsim_noop_run(
         depth,
         seed,
         |_| NoopProbe,
-        SubmitQueue::new(commands as usize),
+        unsharded_queue(n, commands, NoopProbe),
         |_| {},
     )
 }
@@ -367,12 +373,15 @@ fn netsim_sharded_run(
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .build_with(|env| {
-            ShardedKvNode::new_with_probe(
+            let placement = PlacementManager::with_all_attached(map.clone());
+            ShardedKvNode::open(
                 env,
                 p,
-                PlacementManager::with_all_attached(map.clone()),
+                placement,
+                &NodeStorage::default(),
                 rec.probe_for(env.id()),
             )
+            .expect("a volatile node reads no storage")
         });
     let mut queue = ShardedSubmitQueue::with_probe(
         map,
@@ -439,11 +448,11 @@ fn netsim_sharded_run(
 }
 
 /// Leader view for [`await_unanimity`] over a kv cluster's latest outputs.
-fn leader_view(latest: Vec<Option<KvEvent>>) -> Vec<Option<ProcessId>> {
+fn leader_view(latest: Vec<Option<ShardedKvEvent>>) -> Vec<Option<ProcessId>> {
     latest
         .into_iter()
         .map(|o| match o {
-            Some(KvEvent::Leader(l)) => Some(l),
+            Some(ShardedKvEvent::Leader(l)) => Some(l),
             _ => None,
         })
         .collect()
@@ -461,11 +470,11 @@ fn to_ticks(epoch: StdInstant, tick: StdDuration, at: StdInstant) -> u64 {
 /// `Reply` stage at that tick), and returns the harness's unquantized
 /// end-to-end measurements in fractional ticks.
 fn settle_wall_outputs<P: Probe>(
-    outputs: &[(ProcessId, StdDuration, KvEvent)],
+    outputs: &[(ProcessId, StdDuration, ShardedKvEvent)],
     leader: ProcessId,
     tick: StdDuration,
     submit_wall: &BTreeMap<u64, StdDuration>,
-    queue: &mut SubmitQueue<P>,
+    queue: &mut ShardedSubmitQueue<P>,
 ) -> (BTreeMap<u64, f64>, BTreeMap<u64, f64>) {
     let tick_nanos = tick.as_nanos().max(1);
     let mut applied: BTreeMap<u64, (StdDuration, KvResponse)> = BTreeMap::new();
@@ -473,7 +482,7 @@ fn settle_wall_outputs<P: Probe>(
         if *p != leader {
             continue;
         }
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             client,
             seq,
             response,
@@ -523,15 +532,7 @@ fn threadnet_run(
     };
     let p = params(max_batch, depth);
     let rec = Arc::clone(&recorders);
-    let cluster = Cluster::spawn(config, move |env| {
-        KvReplica::with_storage_and_probe(
-            env,
-            p,
-            StorageHandle::in_memory(),
-            rec.probe_for(env.id()),
-        )
-        .expect("open in-memory store")
-    });
+    let cluster = Cluster::spawn(config, move |env| replica(env, p, rec.probe_for(env.id())));
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let leader = await_unanimity(
         || leader_view(cluster.latest_outputs()),
@@ -540,11 +541,7 @@ fn threadnet_run(
     )
     .unwrap_or(ProcessId(0));
     let (epoch, tick) = (cluster.epoch(), cluster.tick());
-    let mut queue = SubmitQueue::with_probe(
-        commands as usize,
-        ProcessId(0),
-        recorders.probe_for(ProcessId(0)),
-    );
+    let mut queue = unsharded_queue(n, commands, recorders.probe_for(ProcessId(0)));
     let mut submit_wall: BTreeMap<u64, StdDuration> = BTreeMap::new();
     for seq in 1..=commands {
         let now = StdInstant::now();
@@ -552,8 +549,10 @@ fn threadnet_run(
         queue.submit(put(seq));
         submit_wall.insert(seq, now.saturating_duration_since(epoch));
     }
-    for cmd in queue.drain() {
-        cluster.request(leader, cmd);
+    for (_, cmds) in queue.drain() {
+        for cmd in cmds {
+            cluster.request(leader, cmd);
+        }
     }
     let reg = recorders.registry();
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
@@ -563,7 +562,7 @@ fn threadnet_run(
             .iter()
             .filter(|o| {
                 o.process == leader
-                    && matches!(&o.output, KvEvent::Applied { client, .. } if *client == CLIENT)
+                    && matches!(&o.output, ShardedKvEvent::Applied { client, .. } if *client == CLIENT)
             })
             .count() as u64;
         sampler.sample(&reg, to_ticks(epoch, tick, StdInstant::now()));
@@ -573,7 +572,7 @@ fn threadnet_run(
         std::thread::sleep(StdDuration::from_millis(5));
     }
     let report = cluster.stop();
-    let outputs: Vec<(ProcessId, StdDuration, KvEvent)> = report
+    let outputs: Vec<(ProcessId, StdDuration, ShardedKvEvent)> = report
         .outputs
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
@@ -625,16 +624,9 @@ fn wirenet_run(
     };
     let p = params(max_batch, depth);
     let rec = Arc::clone(&recorders);
-    let cluster = WireCluster::try_spawn(config, move |env| {
-        KvReplica::with_storage_and_probe(
-            env,
-            p,
-            StorageHandle::in_memory(),
-            rec.probe_for(env.id()),
-        )
-        .expect("open in-memory store")
-    })
-    .expect("bind 127.0.0.1 listeners");
+    let cluster =
+        WireCluster::try_spawn(config, move |env| replica(env, p, rec.probe_for(env.id())))
+            .expect("bind 127.0.0.1 listeners");
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let leader = await_unanimity(
         || leader_view(cluster.latest_outputs()),
@@ -643,11 +635,7 @@ fn wirenet_run(
     )
     .unwrap_or(ProcessId(0));
     let (epoch, tick) = (cluster.epoch(), cluster.tick());
-    let mut queue = SubmitQueue::with_probe(
-        commands as usize,
-        ProcessId(0),
-        recorders.probe_for(ProcessId(0)),
-    );
+    let mut queue = unsharded_queue(n, commands, recorders.probe_for(ProcessId(0)));
     let mut submit_wall: BTreeMap<u64, StdDuration> = BTreeMap::new();
     for seq in 1..=commands {
         let now = StdInstant::now();
@@ -655,8 +643,10 @@ fn wirenet_run(
         queue.submit(put(seq));
         submit_wall.insert(seq, now.saturating_duration_since(epoch));
     }
-    for cmd in queue.drain() {
-        cluster.request(leader, cmd);
+    for (_, cmds) in queue.drain() {
+        for cmd in cmds {
+            cluster.request(leader, cmd);
+        }
     }
     // The socket substrate exposes only each node's *latest* output, so
     // completion is the leader's newest apply reaching the last command
@@ -673,7 +663,7 @@ fn wirenet_run(
         let newest = cluster.latest_outputs().into_iter().nth(leader.as_usize());
         if matches!(
             newest,
-            Some(Some(KvEvent::Applied { seq, .. })) if seq == commands
+            Some(Some(ShardedKvEvent::Applied { seq, .. })) if seq == commands
         ) || StdInstant::now() > deadline
         {
             break;
@@ -694,7 +684,7 @@ fn wirenet_run(
     server.stop();
     let report = cluster.stop();
     report.export(registry);
-    let outputs: Vec<(ProcessId, StdDuration, KvEvent)> = report
+    let outputs: Vec<(ProcessId, StdDuration, ShardedKvEvent)> = report
         .outputs
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))

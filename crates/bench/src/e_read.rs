@@ -35,12 +35,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::{classify_rsm_msg, BatchParams, ConsensusParams, LeaseParams};
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
+use consensus::shard::{classify_shard_msg, PlacementManager, PlacementMap, ShardId};
+use consensus::{BatchParams, ConsensusParams, LeaseParams, NodeStorage};
+use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{
-    AlarmKind, NodeRecorders, RecordingProbe, Registry, Watchdog, WatchdogConfig, WatchdogProbe,
+    AlarmKind, NodeRecorders, Probe, RecordingProbe, Registry, Watchdog, WatchdogConfig,
+    WatchdogProbe,
 };
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_primitives::{Duration, Env, Instant, ProcessId};
 use netsim::{SimBuilder, Simulator, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
@@ -66,9 +68,16 @@ const WRITER: ClientId = ClientId(1);
 /// Client identity of the throughput-run reader.
 const READER: ClientId = ClientId(2);
 
-/// The replica type every run spawns: recorded probes routed through the
-/// shared watchdog.
-type WallReplica = KvReplica<WatchdogProbe<RecordingProbe>>;
+/// The replica type every run spawns: the one-group store, recorded probes
+/// routed through the shared watchdog.
+type WallReplica = ShardedKvNode<WatchdogProbe<RecordingProbe>>;
+
+/// A volatile one-group store replica observed by `probe`.
+fn replica<P: Probe>(env: &Env, params: ConsensusParams, probe: P) -> ShardedKvNode<P> {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedKvNode::open(env, params, placement, &NodeStorage::default(), probe)
+        .expect("a volatile node reads no storage")
+}
 
 /// Reader client identity for reads served at node `p` (one session per
 /// serving node keeps sequence numbers independent).
@@ -171,12 +180,12 @@ struct IssuedRead {
 /// `t`. That is exactly the real-time obligation linearizability puts on
 /// a read, and exactly what a correct leader lease upholds.
 fn count_stale(
-    outputs: &[(ProcessId, u64, KvEvent)],
+    outputs: &[(ProcessId, u64, ShardedKvEvent)],
     issued: &[IssuedRead],
 ) -> (u64, u64, Vec<u64>) {
     let mut commit_at: BTreeMap<u64, u64> = BTreeMap::new();
     for (_, at, ev) in outputs {
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             client,
             seq,
             response: KvResponse::Applied { .. },
@@ -194,7 +203,7 @@ fn count_stale(
     let mut latencies = Vec::new();
     for read in issued {
         let serve = outputs.iter().find_map(|(p, at, ev)| match ev {
-            KvEvent::Applied {
+            ShardedKvEvent::Applied {
                 client,
                 seq,
                 response: KvResponse::Value { value },
@@ -220,7 +229,7 @@ fn count_stale(
 }
 
 /// Flattens a netsim run's outputs into the triples the checker consumes.
-fn sim_outputs(sim: &Simulator<WallReplica>) -> Vec<(ProcessId, u64, KvEvent)> {
+fn sim_outputs(sim: &Simulator<WallReplica>) -> Vec<(ProcessId, u64, ShardedKvEvent)> {
     sim.outputs()
         .iter()
         .map(|e| (e.process, e.at.ticks(), e.output.clone()))
@@ -244,8 +253,8 @@ fn netsim_throughput_run(
     let mut sim = SimBuilder::new(n)
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .classify(classify_rsm_msg)
-        .build_with(|env| KvReplica::new_with_probe(env, params, recorders.probe_for(env.id())));
+        .classify(classify_shard_msg)
+        .build_with(|env| replica(env, params, recorders.probe_for(env.id())));
     let issue_base = 3_000u64;
     sim.run_until(Instant::from_ticks(issue_base));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -278,7 +287,7 @@ fn netsim_throughput_run(
         if ev.process != leader {
             continue;
         }
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             client,
             seq,
             response: KvResponse::Value { .. },
@@ -358,10 +367,8 @@ fn netsim_safety_scenario(kind: &'static str, n: usize, seed: u64) -> ReadRow {
     let mut sim = SimBuilder::new(n)
         .seed(seed)
         .topology(base.clone())
-        .classify(classify_rsm_msg)
-        .build_with(|env| {
-            KvReplica::new_with_probe(env, params, watchdog.probe(recorders.probe_for(env.id())))
-        });
+        .classify(classify_shard_msg)
+        .build_with(|env| replica(env, params, watchdog.probe(recorders.probe_for(env.id()))));
     let mut issued: Vec<IssuedRead> = Vec::new();
     let mut seqs: BTreeMap<ProcessId, u64> = BTreeMap::new();
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
@@ -481,11 +488,11 @@ fn netsim_safety_scenario(kind: &'static str, n: usize, seed: u64) -> ReadRow {
 
 /// Maps a replica cluster's latest outputs to the leader view
 /// [`await_unanimity`] polls.
-fn leader_view(latest: Vec<Option<KvEvent>>) -> Vec<Option<ProcessId>> {
+fn leader_view(latest: Vec<Option<ShardedKvEvent>>) -> Vec<Option<ProcessId>> {
     latest
         .into_iter()
         .map(|o| match o {
-            Some(KvEvent::Leader(l)) => Some(l),
+            Some(ShardedKvEvent::Leader(l)) => Some(l),
             _ => None,
         })
         .collect()
@@ -528,7 +535,7 @@ fn find_threadnet(
         .outputs_so_far()
         .into_iter()
         .find_map(|t| match t.output {
-            KvEvent::Applied {
+            ShardedKvEvent::Applied {
                 client: c,
                 seq: s,
                 response,
@@ -548,7 +555,7 @@ fn find_wirenet(
     seq: u64,
 ) -> Option<KvResponse> {
     match cluster.latest_outputs().into_iter().nth(node.as_usize())? {
-        Some(KvEvent::Applied {
+        Some(ShardedKvEvent::Applied {
             client: c,
             seq: s,
             response,
@@ -634,7 +641,7 @@ fn threadnet_safety_run(n: usize, rounds: u64, seed: u64) -> ReadRow {
         seed,
     };
     let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
+        replica(
             env,
             lease_params(),
             watchdog.probe(recorders.probe_for(env.id())),
@@ -703,7 +710,7 @@ fn wirenet_safety_run(n: usize, rounds: u64) -> ReadRow {
         faults: None,
     };
     let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
+        replica(
             env,
             lease_params(),
             watchdog.probe(recorders.probe_for(env.id())),
@@ -786,10 +793,8 @@ fn violation_run(invert: bool, seed: u64) -> (usize, usize, String) {
     let mut sim = SimBuilder::new(n)
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .classify(classify_rsm_msg)
-        .build_with(|env| {
-            KvReplica::new_with_probe(env, params, watchdog.probe(recorders.probe_for(env.id())))
-        });
+        .classify(classify_shard_msg)
+        .build_with(|env| replica(env, params, watchdog.probe(recorders.probe_for(env.id()))));
     sim.run_until(Instant::from_ticks(3_400));
     let old = sim.node(ProcessId(0)).omega().leader();
     sim.schedule_request(
@@ -815,7 +820,12 @@ fn violation_run(invert: bool, seed: u64) -> (usize, usize, String) {
         t += 100;
         sim.run_until(Instant::from_ticks(t));
         let s = sim.node(observer).omega().leader();
-        if s != old && sim.node(s).log().lease_read_allowed(Instant::from_ticks(t)) {
+        if s != old
+            && sim
+                .node(s)
+                .node()
+                .lease_read_allowed(ShardId(0), Instant::from_ticks(t))
+        {
             break s;
         }
         if t >= 9_000 {

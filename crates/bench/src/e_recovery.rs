@@ -6,9 +6,9 @@
 //! paper's "communication-efficient steady state" implies for long
 //! deployments: a replica's restart cost must not grow with its uptime.
 //! Each netsim scenario is a compressed week of uptime: an E19-style
-//! pipelined client workload (a [`SubmitQueue`] keeping a full window in
-//! flight, with jittered re-submission after leader changes) runs across
-//! repeated leader-biased kill/restart cycles while every replica
+//! pipelined client workload (a [`ShardedSubmitQueue`] keeping a full
+//! window in flight, with jittered re-submission after leader changes) runs
+//! across repeated leader-biased kill/restart cycles while every replica
 //! auto-compacts its segmented on-disk WAL behind KV-state snapshots — so
 //! compaction races the pipeline, and snapshot-install races failover.
 //!
@@ -18,8 +18,9 @@
 //!   every `COMPACT_EVERY` applied commands. Restart replay bytes are
 //!   measured at every recovery; the final WAL must stay within
 //!   `WAL_BOUND` (snapshot + active segments) no matter how many cycles
-//!   ran. One cycle per scenario *wipes* the victim's disk — the fresh
-//!   node must catch up by snapshot-install and converge.
+//!   ran. One cycle per scenario *wipes* the victim's disk — its group
+//!   segment, snapshot store and Ω segment together — and the fresh node
+//!   must catch up by snapshot-install and converge.
 //! * **full-WAL** — the control: same workload, same kills, no snapshot
 //!   store. Its restart replay bytes grow with uptime; the ratio
 //!   `full / snapshots` is the experiment's headline gate.
@@ -41,9 +42,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::ConsensusParams;
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, SubmitQueue, Tagged};
-use lls_obs::{NodeRecorders, Watchdog, WatchdogConfig};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId};
+use consensus::{ConsensusParams, NodeStorage};
+use kvstore::{
+    ClientId, KvCmd, KvState, ShardedKvEvent, ShardedKvNode, ShardedSubmitQueue, Tagged,
+};
+use lls_obs::{NodeRecorders, Probe, Watchdog, WatchdogConfig};
 use lls_primitives::{Env, Instant, ProcessId, SnapshotHandle, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use threadnet::{Cluster, NetConfig};
@@ -61,6 +65,39 @@ const COMPACT_EVERY: u64 = 8;
 const WAL_BOUND: u64 = 2 * SEGMENT_BUDGET;
 /// The single chaos client.
 const CLIENT: ClientId = ClientId(9);
+/// Every replica hosts the store's one group.
+const SHARD: ShardId = ShardId(0);
+
+/// Opens one replica — the one-group store over `disk`, auto-compacting
+/// every `COMPACT_EVERY` applied commands when `disk` has a snapshot store.
+fn open_replica<P: Probe>(env: &Env, disk: &NodeStorage, probe: P) -> ShardedKvNode<P> {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    let mut r = ShardedKvNode::open(env, ConsensusParams::default(), placement, disk, probe)
+        .expect("open stores");
+    if !disk.snapshots.is_empty() {
+        r.set_compact_every(COMPACT_EVERY);
+    }
+    r
+}
+
+/// A wall-clock replica's disk: its group's WAL segment and snapshot
+/// store, and its Ω segment. A wipe replaces all three.
+fn in_memory_disk() -> NodeStorage {
+    NodeStorage {
+        wals: BTreeMap::from([(SHARD, StorageHandle::in_memory())]),
+        snapshots: BTreeMap::from([(SHARD, SnapshotHandle::in_memory())]),
+        omega: Some(StorageHandle::in_memory()),
+    }
+}
+
+fn store_of<P: Probe>(replica: &ShardedKvNode<P>) -> &KvState {
+    replica.state(SHARD).expect("the group is attached")
+}
+
+fn wal_bytes<P: Probe>(replica: &ShardedKvNode<P>) -> u64 {
+    let group = replica.node().group(SHARD).expect("the group is attached");
+    group.wal_stats().live_bytes
+}
 
 /// splitmix64 — every schedule choice derives from the scenario seed.
 fn mix(mut x: u64) -> u64 {
@@ -124,6 +161,35 @@ impl ScenarioDirs {
     fn snap(&self, p: usize) -> PathBuf {
         self.base.join(format!("p{p}-snap"))
     }
+
+    fn omega(&self, p: usize) -> PathBuf {
+        self.base.join(format!("p{p}-omega"))
+    }
+
+    /// Replica `p`'s disk (a snapshot store only in `compacted` mode).
+    fn disk(&self, p: usize, compacted: bool) -> NodeStorage {
+        let segment = |dir| StorageHandle::segmented_wal(dir, SEGMENT_BUDGET).expect("create WAL");
+        let snapshots = if compacted {
+            let snap = SnapshotHandle::file(self.snap(p)).expect("create snapshot dir");
+            BTreeMap::from([(SHARD, snap)])
+        } else {
+            BTreeMap::new()
+        };
+        NodeStorage {
+            wals: BTreeMap::from([(SHARD, segment(self.wal(p)))]),
+            snapshots,
+            omega: Some(segment(self.omega(p))),
+        }
+    }
+
+    /// Wipes replica `p`'s disk: the group segment, the snapshot store and
+    /// the Ω segment go together, so it restarts as a new identity.
+    fn wipe(&self, p: usize, compacted: bool) -> NodeStorage {
+        for dir in [self.wal(p), self.snap(p), self.omega(p)] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        self.disk(p, compacted)
+    }
 }
 
 impl Drop for ScenarioDirs {
@@ -186,12 +252,7 @@ fn netsim_scenario(
         if compacted { "snap" } else { "full" },
         n
     ));
-    let mut stores: Vec<StorageHandle> = (0..n)
-        .map(|p| StorageHandle::segmented_wal(dirs.wal(p), SEGMENT_BUDGET).expect("create WAL"))
-        .collect();
-    let mut snaps: Vec<SnapshotHandle> = (0..n)
-        .map(|p| SnapshotHandle::file(dirs.snap(p)).expect("create snapshot dir"))
-        .collect();
+    let mut disks: Vec<NodeStorage> = (0..n).map(|p| dirs.disk(p, compacted)).collect();
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     // A wiped node is a new identity: its accusation counter legitimately
@@ -200,7 +261,6 @@ fn netsim_scenario(
     let wipe_recorders = Arc::new(NodeRecorders::new(n, 256));
     let wipe_watchdog =
         Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&wipe_recorders));
-    let params = ConsensusParams::default();
     let topo = Topology::system_s_multi(
         n,
         &[ProcessId(0), ProcessId(1)],
@@ -209,28 +269,13 @@ fn netsim_scenario(
             ..SystemSParams::default()
         },
     );
-    let build = |env: &Env,
-                 store: StorageHandle,
-                 snap: SnapshotHandle,
-                 probe: lls_obs::WatchdogProbe<lls_obs::RecordingProbe>| {
-        if compacted {
-            let mut r =
-                KvReplica::with_storage_snapshots_and_probe(env, params, store, snap, probe)
-                    .expect("open stores");
-            r.set_compact_every(COMPACT_EVERY);
-            r
-        } else {
-            KvReplica::with_storage_and_probe(env, params, store, probe).expect("open store")
-        }
-    };
     let mut sim = SimBuilder::new(n)
         .seed(seed)
         .topology(topo)
         .build_with(|env| {
-            build(
+            open_replica(
                 env,
-                stores[env.id().as_usize()].clone(),
-                snaps[env.id().as_usize()].clone(),
+                &disks[env.id().as_usize()],
                 watchdog.probe(recorders.probe_for(env.id())),
             )
         });
@@ -239,7 +284,7 @@ fn netsim_scenario(
     let mut now = 8_000u64;
     sim.run_until(Instant::from_ticks(now));
 
-    let mut queue = SubmitQueue::new(8);
+    let mut queue = ShardedSubmitQueue::new(PlacementMap::uniform(1, n), 8);
     queue.set_retry_backoff(400, seed ^ 0x5eed);
     for i in 0..commands {
         queue.submit(put(i + 1));
@@ -269,12 +314,16 @@ fn netsim_scenario(
         } else {
             alive_probe(&sim, n, down.map(|(v, _, _)| v))
         };
-        for cmd in queue.drain() {
-            sim.schedule_request(Instant::from_ticks(now + 1), target, cmd);
+        for (_, cmds) in queue.drain() {
+            for cmd in cmds {
+                sim.schedule_request(Instant::from_ticks(now + 1), target, cmd);
+            }
         }
         for _ in 0..slice {
-            for cmd in queue.on_tick() {
-                sim.schedule_request(Instant::from_ticks(now + 1), target, cmd);
+            for (_, cmds) in queue.on_tick() {
+                for cmd in cmds {
+                    sim.schedule_request(Instant::from_ticks(now + 1), target, cmd);
+                }
             }
         }
         now += slice;
@@ -283,7 +332,7 @@ fn netsim_scenario(
         let outputs = sim.outputs();
         for ev in &outputs[seen..] {
             match &ev.output {
-                KvEvent::Applied {
+                ShardedKvEvent::Applied {
                     client: c,
                     seq,
                     response,
@@ -291,7 +340,7 @@ fn netsim_scenario(
                 } if *c == CLIENT && queue.settle(*c, *seq, response).is_some() => {
                     *settled.entry(*seq).or_default() += 1;
                 }
-                KvEvent::SnapshotInstalled { .. } => stats.installs += 1,
+                ShardedKvEvent::SnapshotInstalled { .. } => stats.installs += 1,
                 _ => {}
             }
         }
@@ -302,11 +351,7 @@ fn netsim_scenario(
             if now >= at {
                 let v = victim.as_usize();
                 if wipe {
-                    let _ = std::fs::remove_dir_all(dirs.wal(v));
-                    let _ = std::fs::remove_dir_all(dirs.snap(v));
-                    stores[v] = StorageHandle::segmented_wal(dirs.wal(v), SEGMENT_BUDGET)
-                        .expect("recreate WAL");
-                    snaps[v] = SnapshotHandle::file(dirs.snap(v)).expect("recreate snapshots");
+                    disks[v] = dirs.wipe(v, compacted);
                 }
                 let env = Env::new(victim, n);
                 let probe = if wipe {
@@ -314,11 +359,9 @@ fn netsim_scenario(
                 } else {
                     watchdog.probe(recorders.probe_for(victim))
                 };
-                let recovered = build(&env, stores[v].clone(), snaps[v].clone(), probe);
+                let recovered = open_replica(&env, &disks[v], probe);
                 if !wipe {
-                    stats
-                        .replay_bytes
-                        .push(recovered.log().wal_stats().live_bytes);
+                    stats.replay_bytes.push(wal_bytes(&recovered));
                 }
                 sim.restart(victim, recovered);
                 down = None;
@@ -361,7 +404,7 @@ fn netsim_scenario(
     sim.run_until(Instant::from_ticks(now));
     for ev in &sim.outputs()[seen..] {
         match &ev.output {
-            KvEvent::Applied {
+            ShardedKvEvent::Applied {
                 client: c,
                 seq,
                 response,
@@ -369,7 +412,7 @@ fn netsim_scenario(
             } if *c == CLIENT && queue.settle(*c, *seq, response).is_some() => {
                 *settled.entry(*seq).or_default() += 1;
             }
-            KvEvent::SnapshotInstalled { .. } => stats.installs += 1,
+            ShardedKvEvent::SnapshotInstalled { .. } => stats.installs += 1,
             _ => {}
         }
     }
@@ -406,15 +449,13 @@ fn netsim_scenario(
     // same store and the full client session.
     tally.checks += 1;
     let reference = alive_probe(&sim, n, None);
-    let expect: Vec<(String, String)> = sim
-        .node(reference)
-        .state()
+    let expect: Vec<(String, String)> = store_of(sim.node(reference))
         .iter()
         .map(|(k, v)| (k.to_owned(), v.to_owned()))
         .collect();
     let mut converged = expect.len() as u64 == commands;
     for p in (0..n as u32).map(ProcessId) {
-        let state = sim.node(p).state();
+        let state = store_of(sim.node(p));
         let got: Vec<(String, String)> = state
             .iter()
             .map(|(k, v)| (k.to_owned(), v.to_owned()))
@@ -442,7 +483,7 @@ fn netsim_scenario(
         ok = false;
     }
     stats.wal_max = (0..n as u32)
-        .map(|p| sim.node(ProcessId(p)).log().wal_stats().live_bytes)
+        .map(|p| wal_bytes(sim.node(ProcessId(p))))
         .max()
         .unwrap_or(0);
     if compacted {
@@ -514,8 +555,8 @@ fn await_seq(
     }
 }
 
-fn note_applied(done: &mut BTreeMap<ProcessId, u64>, p: ProcessId, ev: &KvEvent) {
-    if let KvEvent::Applied { client, seq, .. } = ev {
+fn note_applied(done: &mut BTreeMap<ProcessId, u64>, p: ProcessId, ev: &ShardedKvEvent) {
+    if let ShardedKvEvent::Applied { client, seq, .. } = ev {
         if *client == CLIENT {
             let entry = done.entry(p).or_default();
             *entry = (*entry).max(*seq);
@@ -560,14 +601,12 @@ fn wall_phase(
 /// One threadnet scenario: in-memory stores with snapshots, loss and delay
 /// injected, kill → durable restart → kill → wipe restart.
 fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
-    let mut stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
-    let mut snaps: Vec<SnapshotHandle> = (0..n).map(|_| SnapshotHandle::in_memory()).collect();
+    let mut disks: Vec<NodeStorage> = (0..n).map(|_| in_memory_disk()).collect();
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     let wipe_recorders = Arc::new(NodeRecorders::new(n, 256));
     let wipe_watchdog =
         Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&wipe_recorders));
-    let params = ConsensusParams::default();
     let config = NetConfig {
         n,
         loss: 0.02,
@@ -576,17 +615,10 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         tick: StdDuration::from_millis(1),
         seed,
     };
-    let make = |env: &Env, store: StorageHandle, snap: SnapshotHandle, probe| {
-        let mut r = KvReplica::with_storage_snapshots_and_probe(env, params, store, snap, probe)
-            .expect("open stores");
-        r.set_compact_every(COMPACT_EVERY);
-        r
-    };
     let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        make(
+        open_replica(
             env,
-            stores[env.id().as_usize()].clone(),
-            snaps[env.id().as_usize()].clone(),
+            &disks[env.id().as_usize()],
             watchdog.probe(recorders.probe_for(env.id())),
         )
     });
@@ -627,10 +659,9 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
         let env = Env::new(victim1, n);
         cluster.restart(
             victim1,
-            make(
+            open_replica(
                 &env,
-                stores[victim1.as_usize()].clone(),
-                snaps[victim1.as_usize()].clone(),
+                &disks[victim1.as_usize()],
                 watchdog.probe(recorders.probe_for(victim1)),
             ),
         );
@@ -650,15 +681,13 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
             "threadnet progress during wipe outage",
         );
 
-        stores[victim2.as_usize()] = StorageHandle::in_memory();
-        snaps[victim2.as_usize()] = SnapshotHandle::in_memory();
+        disks[victim2.as_usize()] = in_memory_disk();
         let env = Env::new(victim2, n);
         cluster.restart(
             victim2,
-            make(
+            open_replica(
                 &env,
-                stores[victim2.as_usize()].clone(),
-                snaps[victim2.as_usize()].clone(),
+                &disks[victim2.as_usize()],
                 wipe_watchdog.probe(wipe_recorders.probe_for(victim2)),
             ),
         );
@@ -668,7 +697,7 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let outputs = cluster.stop().outputs;
     let installs = outputs
         .iter()
-        .filter(|t| matches!(t.output, KvEvent::SnapshotInstalled { .. }))
+        .filter(|t| matches!(t.output, ShardedKvEvent::SnapshotInstalled { .. }))
         .count() as u64;
     tally.checks += 1;
     if installs == 0 {
@@ -687,14 +716,12 @@ fn threadnet_scenario(n: usize, seed: u64, tally: &mut Tally) {
 /// One wirenet scenario: the same cycle over real TCP — the wiped node's
 /// catch-up crosses actual reconnecting sockets under injected faults.
 fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
-    let mut stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
-    let mut snaps: Vec<SnapshotHandle> = (0..n).map(|_| SnapshotHandle::in_memory()).collect();
+    let mut disks: Vec<NodeStorage> = (0..n).map(|_| in_memory_disk()).collect();
     let recorders = Arc::new(NodeRecorders::new(n, 256));
     let watchdog = Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&recorders));
     let wipe_recorders = Arc::new(NodeRecorders::new(n, 256));
     let wipe_watchdog =
         Watchdog::with_recorders(WatchdogConfig::default(), Arc::clone(&wipe_recorders));
-    let params = ConsensusParams::default();
     let config = WireConfig {
         n,
         tick: StdDuration::from_millis(1),
@@ -707,17 +734,10 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
             seed,
         }),
     };
-    let make = |env: &Env, store: StorageHandle, snap: SnapshotHandle, probe| {
-        let mut r = KvReplica::with_storage_snapshots_and_probe(env, params, store, snap, probe)
-            .expect("open stores");
-        r.set_compact_every(COMPACT_EVERY);
-        r
-    };
     let mut cluster = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        make(
+        open_replica(
             env,
-            stores[env.id().as_usize()].clone(),
-            snaps[env.id().as_usize()].clone(),
+            &disks[env.id().as_usize()],
             watchdog.probe(recorders.probe_for(env.id())),
         )
     })
@@ -773,10 +793,9 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     phase!(&survivors1, 17, 28, "wirenet progress during outage");
 
     let env = Env::new(victim1, n);
-    let recovered = make(
+    let recovered = open_replica(
         &env,
-        stores[victim1.as_usize()].clone(),
-        snaps[victim1.as_usize()].clone(),
+        &disks[victim1.as_usize()],
         watchdog.probe(recorders.probe_for(victim1)),
     );
     if cluster.restart(victim1, recovered).is_err() {
@@ -795,13 +814,11 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let survivors2: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim2).collect();
     phase!(&survivors2, 30, 40, "wirenet progress during wipe outage");
 
-    stores[victim2.as_usize()] = StorageHandle::in_memory();
-    snaps[victim2.as_usize()] = SnapshotHandle::in_memory();
+    disks[victim2.as_usize()] = in_memory_disk();
     let env = Env::new(victim2, n);
-    let fresh = make(
+    let fresh = open_replica(
         &env,
-        stores[victim2.as_usize()].clone(),
-        snaps[victim2.as_usize()].clone(),
+        &disks[victim2.as_usize()],
         wipe_watchdog.probe(wipe_recorders.probe_for(victim2)),
     );
     if cluster.restart(victim2, fresh).is_err() {
@@ -816,7 +833,7 @@ fn wirenet_scenario(n: usize, seed: u64, tally: &mut Tally) {
     let outputs = cluster.stop().outputs;
     let installs = outputs
         .iter()
-        .filter(|t| matches!(t.output, KvEvent::SnapshotInstalled { .. }))
+        .filter(|t| matches!(t.output, ShardedKvEvent::SnapshotInstalled { .. }))
         .count() as u64;
     tally.checks += 1;
     if installs == 0 {

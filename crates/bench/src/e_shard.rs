@@ -33,9 +33,9 @@ use consensus::shard::{
     classify_shard_msg, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest,
     ShardedNode,
 };
-use consensus::{BatchParams, ConsensusParams};
-use lls_obs::{aggregate_shard_registries, NodeRecorders, Registry};
-use lls_primitives::{Duration, Instant, ProcessId};
+use consensus::{BatchParams, ConsensusParams, NodeStorage};
+use lls_obs::{aggregate_shard_registries, NodeRecorders, Probe, Registry};
+use lls_primitives::{Duration, Env, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
@@ -101,6 +101,18 @@ fn placement(shards: u32, n: usize) -> PlacementManager {
     PlacementManager::with_all_attached(PlacementMap::uniform(shards, n))
 }
 
+/// A volatile node of `shards` uniformly placed groups, observed by `probe`.
+pub(crate) fn probed_node<P: Probe>(
+    env: &Env,
+    params: ConsensusParams,
+    shards: u32,
+    probe: P,
+) -> ShardedNode<u64, P> {
+    let placement = placement(shards, env.n());
+    ShardedNode::open(env, params, placement, &NodeStorage::default(), probe)
+        .expect("a volatile node reads no storage")
+}
+
 /// The round-robin shard of command `i` — E20's stand-in for the kvstore
 /// key router (uniform load without the kv dependency).
 fn shard_of(i: u64, shards: u32) -> ShardId {
@@ -155,14 +167,7 @@ fn netsim_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Regist
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
         .classify(classify_shard_msg)
-        .build_with(move |env| {
-            ShardedNode::<u64, _>::new_with_probe(
-                env,
-                params,
-                placement(shards, n),
-                rec.probe_for(env.id()),
-            )
-        });
+        .build_with(move |env| probed_node(env, params, shards, rec.probe_for(env.id())));
     // Let the shared Ω settle and every group establish its ballot.
     let issue_base = 2_000u64;
     sim.run_until(Instant::from_ticks(issue_base));
@@ -239,7 +244,7 @@ fn netsim_run(n: usize, commands: u64, shards: u32, seed: u64, registry: &Regist
 /// Maps a sharded cluster's latest outputs to the leader view
 /// [`await_unanimity`] polls: in a request-free warmup the only outputs
 /// are the shared Ω's `Leader` announcements.
-fn leader_view(latest: Vec<Option<ShardEvent<u64>>>) -> Vec<Option<ProcessId>> {
+pub(crate) fn leader_view(latest: Vec<Option<ShardEvent<u64>>>) -> Vec<Option<ProcessId>> {
     latest
         .into_iter()
         .map(|o| match o {
@@ -249,9 +254,13 @@ fn leader_view(latest: Vec<Option<ShardEvent<u64>>>) -> Vec<Option<ProcessId>> {
         .collect()
 }
 
-/// Timeline bookkeeping shared by the wall-clock substrates (same
-/// re-anchoring trick as E19, with the shard carried along).
-fn wall_latencies(
+/// Timeline bookkeeping shared by the wall-clock substrates of E19 and
+/// E20: latencies are measured against the burst start, re-anchored onto
+/// the report's since-spawn clock via the last commit (`anchor =
+/// last_commit - measured_wall`), which confines the error to the polling
+/// granularity. Returns the leader's committed count, its per-shard counts
+/// and its per-shard latencies.
+pub(crate) fn wall_latencies(
     outputs: &[(ProcessId, StdDuration, ShardEvent<u64>)],
     leader: ProcessId,
     shards: u32,

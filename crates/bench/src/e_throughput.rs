@@ -35,7 +35,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::{classify_rsm_msg, BatchParams, ConsensusParams, ReplicatedLog, RsmEvent};
+use consensus::shard::{classify_shard_msg, ShardEvent, ShardId, ShardRequest};
+use consensus::{BatchParams, ConsensusParams};
 use lls_obs::{NodeRecorders, Registry};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
@@ -43,6 +44,7 @@ use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
 
 use crate::e_chaos::await_unanimity;
+use crate::e_shard::{leader_view, probed_node, wall_latencies};
 use crate::json::JsonValue;
 use crate::percentile;
 use crate::table::Table;
@@ -147,10 +149,8 @@ fn netsim_run(
     let mut sim = SimBuilder::new(n)
         .seed(seed)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .classify(classify_rsm_msg)
-        .build_with(move |env| {
-            ReplicatedLog::<u64, _>::new_with_probe(env, params, rec.probe_for(env.id()))
-        });
+        .classify(classify_shard_msg)
+        .build_with(move |env| probed_node(env, params, 1, rec.probe_for(env.id())));
     // Let the initial leader establish its ballot before offering load.
     let issue_base = 2_000u64;
     sim.run_until(Instant::from_ticks(issue_base));
@@ -159,7 +159,7 @@ fn netsim_run(
     // round trip) cannot keep up; the pipelined path can.
     let issue_tick = |i: u64| issue_base + 1 + i / 2;
     for i in 0..commands {
-        sim.schedule_request(Instant::from_ticks(issue_tick(i)), leader, i);
+        sim.schedule_request(Instant::from_ticks(issue_tick(i)), leader, put(i));
     }
     sim.run_until(Instant::from_ticks(issue_base + commands * 10 + 10_000));
     // Commit times observed at the leader, keyed by command value.
@@ -168,7 +168,7 @@ fn netsim_run(
         if ev.process != leader {
             continue;
         }
-        if let RsmEvent::Committed { cmd: Some(v), .. } = ev.output {
+        if let ShardEvent::Committed { cmd: Some(v), .. } = ev.output {
             commit_at.entry(v).or_insert(ev.at.ticks());
         }
     }
@@ -214,47 +214,23 @@ fn netsim_run(
     }
 }
 
-/// Maps a replicated-log cluster's latest outputs to the leader view
-/// [`await_unanimity`] polls: in a request-free warmup the only outputs
-/// are `Leader` events.
-fn leader_view(latest: Vec<Option<RsmEvent<u64>>>) -> Vec<Option<ProcessId>> {
-    latest
-        .into_iter()
-        .map(|o| match o {
-            Some(RsmEvent::Leader(l)) => Some(l),
-            _ => None,
-        })
-        .collect()
+/// Command `i` of the burst, addressed to the node's one group.
+fn put(i: u64) -> ShardRequest<u64> {
+    ShardRequest {
+        shard: ShardId(0),
+        cmd: i,
+    }
 }
 
-/// Timeline bookkeeping shared by the wall-clock substrates: latencies
-/// are measured against the burst start, re-anchored onto the report's
-/// since-spawn clock via the last commit (`anchor = last_commit -
-/// measured_wall`), which confines the error to the polling granularity.
-fn wall_latencies(
-    outputs: &[(ProcessId, StdDuration, RsmEvent<u64>)],
+/// The leader's committed count and its latencies, in µs from the burst
+/// start.
+fn leader_latencies(
+    outputs: &[(ProcessId, StdDuration, ShardEvent<u64>)],
     leader: ProcessId,
     total_wall: StdDuration,
 ) -> (u64, Vec<u64>) {
-    let mut commit_at: BTreeMap<u64, StdDuration> = BTreeMap::new();
-    for (p, at, ev) in outputs {
-        if *p != leader {
-            continue;
-        }
-        if let RsmEvent::Committed { cmd: Some(v), .. } = ev {
-            commit_at.entry(*v).or_insert(*at);
-        }
-    }
-    let committed = commit_at.len() as u64;
-    let anchor = commit_at
-        .values()
-        .max()
-        .map_or(StdDuration::ZERO, |&last| last.saturating_sub(total_wall));
-    let latencies = commit_at
-        .values()
-        .map(|&at| at.saturating_sub(anchor).as_micros() as u64)
-        .collect();
-    (committed, latencies)
+    let (committed, _, mut per_shard) = wall_latencies(outputs, leader, 1, total_wall);
+    (committed, per_shard.remove(&0).unwrap_or_default())
 }
 
 /// Thread-mesh run: fire the whole burst at the elected leader, poll the
@@ -279,7 +255,7 @@ fn threadnet_run(
     let params = rsm_params(max_batch, depth);
     let rec = Arc::clone(&recorders);
     let cluster = Cluster::spawn(config, move |env| {
-        ReplicatedLog::<u64, _>::new_with_probe(env, params, rec.probe_for(env.id()))
+        probed_node(env, params, 1, rec.probe_for(env.id()))
     });
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
     let leader = await_unanimity(
@@ -290,7 +266,7 @@ fn threadnet_run(
     .unwrap_or(ProcessId(0));
     let burst_start = StdInstant::now();
     for i in 0..commands {
-        cluster.request(leader, i);
+        cluster.request(leader, put(i));
     }
     let deadline = StdInstant::now() + StdDuration::from_secs(30);
     loop {
@@ -298,7 +274,8 @@ fn threadnet_run(
             .outputs_so_far()
             .iter()
             .filter(|o| {
-                o.process == leader && matches!(o.output, RsmEvent::Committed { cmd: Some(_), .. })
+                o.process == leader
+                    && matches!(o.output, ShardEvent::Committed { cmd: Some(_), .. })
             })
             .count() as u64;
         if done >= commands || StdInstant::now() > deadline {
@@ -308,12 +285,12 @@ fn threadnet_run(
     }
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
-    let outputs: Vec<(ProcessId, StdDuration, RsmEvent<u64>)> = report
+    let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
         .outputs
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();
-    let (committed, mut latencies) = wall_latencies(&outputs, leader, total_wall);
+    let (committed, mut latencies) = leader_latencies(&outputs, leader, total_wall);
     let throughput = committed as f64 / total_wall.as_secs_f64().max(f64::EPSILON);
     let batched_slots = recorders
         .registry()
@@ -365,7 +342,7 @@ fn wirenet_run(
     let params = rsm_params(max_batch, depth);
     let rec = Arc::clone(&recorders);
     let cluster = WireCluster::try_spawn(config, move |env| {
-        ReplicatedLog::<u64, _>::new_with_probe(env, params, rec.probe_for(env.id()))
+        probed_node(env, params, 1, rec.probe_for(env.id()))
     })
     .expect("bind 127.0.0.1 listeners");
     let all: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
@@ -377,7 +354,7 @@ fn wirenet_run(
     .unwrap_or(ProcessId(0));
     let burst_start = StdInstant::now();
     for i in 0..commands {
-        cluster.request(leader, i);
+        cluster.request(leader, put(i));
     }
     // Under a stable leader commands commit in submission order, so the
     // burst is done when the leader's newest output is the last command.
@@ -387,7 +364,7 @@ fn wirenet_run(
         let newest = cluster.latest_outputs().into_iter().nth(leader.as_usize());
         if matches!(
             newest,
-            Some(Some(RsmEvent::Committed { cmd: Some(v), .. })) if v == last
+            Some(Some(ShardEvent::Committed { cmd: Some(v), .. })) if v == last
         ) || StdInstant::now() > deadline
         {
             break;
@@ -397,12 +374,12 @@ fn wirenet_run(
     let total_wall = burst_start.elapsed();
     let report = cluster.stop();
     report.export(registry);
-    let outputs: Vec<(ProcessId, StdDuration, RsmEvent<u64>)> = report
+    let outputs: Vec<(ProcessId, StdDuration, ShardEvent<u64>)> = report
         .outputs
         .iter()
         .map(|o| (o.process, o.at, o.output.clone()))
         .collect();
-    let (committed, mut latencies) = wall_latencies(&outputs, leader, total_wall);
+    let (committed, mut latencies) = leader_latencies(&outputs, leader, total_wall);
     let throughput = committed as f64 / total_wall.as_secs_f64().max(f64::EPSILON);
     let batched_slots = recorders
         .registry()

@@ -15,7 +15,7 @@
 //!
 //! | field | record | why it must survive |
 //! |---|---|---|
-//! | Ω own counter | `OmegaCounter` | Peers adopt the largest counter heard from us and accusations only count when they match it (the counter *is* the phase). Regressing it would let a demoted candidate re-claim leadership it lost — breaking eventual agreement — and desynchronise the accusation phase forever. |
+//! | Ω own counter | `OmegaCounter` (single-shot); a bare `u64` in the node's Ω segment (replicated log) | Peers adopt the largest counter heard from us and accusations only count when they match it (the counter *is* the phase). Regressing it would let a demoted candidate re-claim leadership it lost — breaking eventual agreement — and desynchronise the accusation phase forever. |
 //! | promised ballot | `Promised` | A `Promise(b)` tells a proposer "no ballot `< b` can succeed through me". Forgetting it would let a restarted acceptor promise/accept an older ballot, producing two quorums for different values — the classic Paxos split brain. |
 //! | accepted ballot/value | `Accepted` | A `Accepted(b)` vote may already be part of a quorum that chose the value. A restarted acceptor must reveal it in future promises, or a later proposer could choose a conflicting value. |
 //! | decided value / chosen slot | `Decided` / `Chosen` | Decisions are irrevocable and are announced to peers (and to the local application). A restarted process must not re-decide differently, and must not re-emit its decision output (integrity: decide at most once). |
@@ -38,9 +38,19 @@
 //! `Promised` record, where one is written — so every later `Promise`
 //! reveals them. It never writes a vote at a ballot it has promised past.
 //!
+//! A replicated log keeps no Ω state of its own: the node's one Ω detector
+//! ([`ShardedNode`](crate::ShardedNode)) writes its counter — the only
+//! Ω record — to the node's dedicated Ω segment, through
+//! [`CommEffOmega::with_storage_and_probe`](omega::CommEffOmega::with_storage_and_probe).
+//! The group WAL segments hold `Promised`/`Accepted`/`Chosen` records only.
+//! A group whose segment and snapshot are empty still counts as restarted
+//! when the node's Ω segment is not: it was attached in an earlier
+//! incarnation that wrote nothing for it, and asks its peers where the log
+//! has moved (`CatchUp`) like any other restarted group.
+//!
 //! # Recovery ("recovering rejoin mode")
 //!
-//! Recovery is performed synchronously inside `with_storage` constructors,
+//! Recovery is performed synchronously inside the constructors,
 //! **before** `on_start` delivers the first stimulus — the machine is never
 //! observable in a half-recovered state, so a restart cannot answer a
 //! `Prepare`/`Accept` from pre-crash amnesia. Recovered decisions are
@@ -61,8 +71,7 @@
 //! records, so they need their own safety argument on top of the table
 //! above. The invariant is an ordering: **the snapshot is durable first**
 //! (CRC-checked, tmp-then-rename, directory fsync), then the WAL is
-//! rewritten to its *live* records — the latest `OmegaCounter`, the latest
-//! `Promised`, and every `Accepted`/`Chosen` at slots ≥ the snapshot
+//! rewritten to its *live* records — the latest `Promised`, and every `Accepted`/`Chosen` at slots ≥ the snapshot
 //! watermark — and only then is in-memory state pruned. A crash between any
 //! two steps therefore recovers a *superset* of the required state (the
 //! "durable prefix" envelope): old snapshot + full WAL, new snapshot + full
@@ -137,8 +146,6 @@ impl<V: Wire> Wire for AcceptorRecord<V> {
 /// Same safety arguments as [`AcceptorRecord`], per slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsmRecord<V> {
-    /// The embedded Ω detector's own accusation counter reached this value.
-    OmegaCounter(u64),
     /// The acceptor promised this ballot (covering all slots).
     Promised(Ballot),
     /// The acceptor accepted `entry` at `slot` under ballot `b`.
@@ -162,10 +169,6 @@ pub enum RsmRecord<V> {
 impl<V: Wire> Wire for RsmRecord<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            RsmRecord::OmegaCounter(c) => {
-                out.push(0);
-                c.encode(out);
-            }
             RsmRecord::Promised(b) => {
                 out.push(1);
                 b.encode(out);
@@ -186,7 +189,6 @@ impl<V: Wire> Wire for RsmRecord<V> {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(RsmRecord::OmegaCounter(u64::decode(r)?)),
             1 => Ok(RsmRecord::Promised(Ballot::decode(r)?)),
             2 => Ok(RsmRecord::Accepted {
                 slot: u64::decode(r)?,
@@ -229,7 +231,6 @@ mod tests {
     fn rsm_records_round_trip() {
         let b = Ballot::new(2, ProcessId(0));
         let records: Vec<RsmRecord<u64>> = vec![
-            RsmRecord::OmegaCounter(1),
             RsmRecord::Promised(b),
             RsmRecord::Accepted {
                 slot: 5,
@@ -251,6 +252,11 @@ mod tests {
     fn bad_tag_is_rejected() {
         assert!(matches!(
             AcceptorRecord::<u64>::from_bytes(&[9]),
+            Err(WireError::BadTag { .. })
+        ));
+        // Tag 0 was the log's Ω counter, which now lives in the Ω segment.
+        assert!(matches!(
+            RsmRecord::<u64>::from_bytes(&[0, 1]),
             Err(WireError::BadTag { .. })
         ));
     }

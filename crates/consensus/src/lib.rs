@@ -13,17 +13,16 @@
 //!   (Synod-style) coordinated by the embedded communication-efficient Ω
 //!   detector. Retransmission timers defeat fair-lossy links; safety never
 //!   depends on timing, only liveness does.
-//! * [`ReplicatedLog`] — repeated consensus (Multi-Paxos style): the stable
-//!   leader runs the ballot phase *once* and then commits a stream of
-//!   commands at one round trip each — the steady state measured by
-//!   experiment E7.
+//! * [`ShardedNode`] — repeated consensus: one Ω per node feeding
+//!   leadership to S [`ReplicatedLog`] groups (Multi-Paxos style), each
+//!   with its own slot sequence. A stable leader runs the ballot phase
+//!   *once* per group and then commits a stream of commands at one round
+//!   trip each — the steady state measured by experiment E7 (S = 1) — and
+//!   election traffic stays independent of S (experiment E20). See
+//!   [`shard`].
 //! * [`RotatingConsensus`] — the pre-Ω state of the art (Chandra–Toueg ◇S
 //!   rotating coordinator), implemented as the baseline experiment E14
 //!   compares against.
-//! * [`shard`] — sharded multi-group replication: S independent replicated
-//!   logs per cluster, one **shared** Ω per node feeding leadership to all
-//!   co-located groups so election traffic stays independent of S
-//!   (experiment E20).
 //! * [`checker`] — safety oracles (agreement, validity, integrity, log
 //!   prefix consistency) applied to run traces by tests and experiments.
 //!
@@ -71,7 +70,7 @@ pub use msg::{classify_consensus_msg, classify_rsm_msg, ConsensusMsg, Entry, Rsm
 pub use rotating::{classify_rot_msg, RotEvent, RotMsg, RotatingConsensus};
 pub use rsm::{LifecycleId, ReplicatedLog, RsmEvent};
 pub use shard::{
-    classify_shard_msg, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg,
+    classify_shard_msg, NodeStorage, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg,
     ShardRequest, ShardedNode,
 };
 pub use single::{Consensus, ConsensusEvent, ConsensusParams, LeaseParams};

@@ -96,8 +96,6 @@ impl<V> Entry<V> {
 /// phase 2 runs per slot.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RsmMsg<V> {
-    /// Embedded leader-election traffic.
-    Omega(OmegaMsg),
     /// Phase 1a for every slot ≥ `from_slot` at once.
     Prepare {
         /// The proposer's ballot.
@@ -341,10 +339,6 @@ impl<V: Wire> Wire for ConsensusMsg<V> {
 impl<V: Wire> Wire for RsmMsg<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            RsmMsg::Omega(m) => {
-                out.push(0);
-                m.encode(out);
-            }
             RsmMsg::Prepare { b, from_slot } => {
                 out.push(1);
                 b.encode(out);
@@ -451,7 +445,6 @@ impl<V: Wire> Wire for RsmMsg<V> {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(RsmMsg::Omega(OmegaMsg::decode(r)?)),
             1 => Ok(RsmMsg::Prepare {
                 b: Ballot::decode(r)?,
                 from_slot: u64::decode(r)?,
@@ -578,7 +571,6 @@ pub fn classify_consensus_msg<V>(msg: &ConsensusMsg<V>) -> &'static str {
 /// Classifier for per-kind message statistics of [`RsmMsg`].
 pub fn classify_rsm_msg<V>(msg: &RsmMsg<V>) -> &'static str {
     match msg {
-        RsmMsg::Omega(m) => omega::classify_msg(m),
         RsmMsg::Prepare { .. } => "PREPARE",
         RsmMsg::Promise { .. } => "PROMISE",
         RsmMsg::Accept { .. } => "ACCEPT",
@@ -659,7 +651,6 @@ mod tests {
     fn rsm_classify_covers_every_variant() {
         let b = Ballot::new(1, ProcessId(0));
         let msgs: Vec<RsmMsg<u64>> = vec![
-            RsmMsg::Omega(OmegaMsg::Accuse { counter: 0 }),
             RsmMsg::Prepare { b, from_slot: 0 },
             RsmMsg::Promise {
                 b,
@@ -710,7 +701,6 @@ mod tests {
         assert_eq!(
             kinds,
             vec![
-                "ACCUSE",
                 "PREPARE",
                 "PROMISE",
                 "ACCEPT",
@@ -728,6 +718,24 @@ mod tests {
                 "READ_INDEX_REPLY"
             ]
         );
+    }
+
+    #[test]
+    fn tag_zero_is_no_longer_a_log_message() {
+        // Tag 0 carried the log's own Ω traffic; Ω now travels only as the
+        // node's `ShardMsg::Omega`, and every other tag keeps its number.
+        assert_eq!(
+            RsmMsg::<u64>::from_bytes(&[0, 0, 0]),
+            Err(WireError::BadTag {
+                type_name: "RsmMsg",
+                tag: 0
+            })
+        );
+        let prepare: RsmMsg<u64> = RsmMsg::Prepare {
+            b: Ballot::new(1, ProcessId(0)),
+            from_slot: 0,
+        };
+        assert_eq!(prepare.to_bytes()[0], 1);
     }
 
     #[test]

@@ -1,5 +1,10 @@
-//! Repeated consensus: a replicated log in the Multi-Paxos style, gated by
-//! the embedded communication-efficient Ω detector.
+//! Repeated consensus: a replicated log in the Multi-Paxos style, led by
+//! the node's communication-efficient Ω detector.
+//!
+//! A [`ReplicatedLog`] is one *group* of a [`ShardedNode`](crate::ShardedNode):
+//! it runs no detector of its own. The node's single Ω feeds every group its
+//! output through [`ReplicatedLog::set_leader`]; an unsharded deployment is
+//! a node with one group.
 //!
 //! The point of this module is the paper's *communication-efficient
 //! consensus* claim: once Ω stabilizes on a leader `ℓ` after GST, `ℓ` runs
@@ -59,12 +64,12 @@
 //! # Bounded recovery: snapshots, compaction, and snapshot-install catch-up
 //!
 //! Without compaction the WAL grows with uptime and a restarted replica
-//! replays its whole history. With a [`SnapshotHandle`] attached
-//! ([`ReplicatedLog::with_storage_and_snapshots`]), the application may call
+//! replays its whole history. With a [`SnapshotHandle`] attached (see
+//! [`NodeStorage`](crate::shard::NodeStorage)), the application may call
 //! [`ReplicatedLog::compact`] after applying a prefix: the serialized state
 //! at `watermark` is installed durably *first* (atomic tmp-then-rename in
 //! the file backend), then the WAL is rewritten to only the live records
-//! (latest Ω counter, latest promise, accepted/chosen entries at or above
+//! (latest promise, accepted/chosen entries at or above
 //! the watermark), then the in-memory maps drop the covered prefix. A crash
 //! between the two installs replays a superset — never a subset — of the
 //! compacted state, so the durable-prefix safety envelope of
@@ -89,16 +94,15 @@ use std::fmt;
 use lls_obs::{CmdId, CmdStage, NoopProbe, Probe, ProbeEvent};
 use lls_primitives::wire::crc32;
 use lls_primitives::{
-    Ctx, Duration, Effects, Env, Instant, ProcessId, Sm, Snapshot, SnapshotHandle, StorageError,
-    StorageHandle, StorageStats, TimerCmd, TimerId, Wire,
+    Ctx, Duration, Env, Instant, ProcessId, Sm, Snapshot, SnapshotHandle, StorageError,
+    StorageHandle, StorageStats, TimerId, Wire,
 };
-use omega::{CommEffOmega, OmegaMsg};
 use serde::{Deserialize, Serialize};
 
 use crate::ballot::Ballot;
 use crate::durable::RsmRecord;
 use crate::msg::{Entry, RsmMsg};
-use crate::single::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
+use crate::single::{ConsensusParams, RETRY_TIMER};
 
 /// Extracts a client-visible [`CmdId`] from a command payload, letting the
 /// replicated log emit per-command [`CmdStage`] lifecycle events without
@@ -124,8 +128,6 @@ impl LifecycleId for u64 {
 /// Observable events of a [`ReplicatedLog`] run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RsmEvent<V> {
-    /// The embedded Ω detector changed its output.
-    Leader(ProcessId),
     /// Slot `slot` committed (emitted in strict slot order at each process).
     /// `cmd` is `None` for no-op filler slots.
     Committed {
@@ -246,28 +248,38 @@ struct IncomingSnapshot {
 
 /// A replicated log: repeated consensus with a stable-leader fast path.
 ///
+/// One group of a [`ShardedNode`](crate::ShardedNode), which constructs it,
+/// feeds it leadership, and owns its timers and transport.
+///
 /// # Example
 ///
+/// An unsharded replicated log is group 0 of a one-group node:
+///
 /// ```
-/// use consensus::{ReplicatedLog, ConsensusParams, RsmEvent};
+/// use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardRequest};
+/// use consensus::{ConsensusParams, ShardedNode};
 /// use lls_primitives::{Duration, Instant, ProcessId};
 /// use netsim::{SimBuilder, Topology};
 ///
 /// let n = 3;
+/// let put = |cmd| ShardRequest { shard: ShardId(0), cmd };
 /// let mut sim = SimBuilder::new(n)
 ///     .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-///     .request_at(Instant::from_ticks(500), ProcessId(0), 7u64)
-///     .request_at(Instant::from_ticks(600), ProcessId(0), 8u64)
-///     .build_with(|env| ReplicatedLog::new(env, ConsensusParams::default()));
+///     .request_at(Instant::from_ticks(500), ProcessId(0), put(7u64))
+///     .request_at(Instant::from_ticks(600), ProcessId(0), put(8u64))
+///     .build_with(|env| {
+///         let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+///         ShardedNode::new(env, ConsensusParams::default(), placement)
+///     });
 /// sim.run_until(Instant::from_ticks(5_000));
-/// let committed: Vec<u64> = sim.node(ProcessId(1)).committed_commands().cloned().collect();
+/// let log = sim.node(ProcessId(1)).group(ShardId(0)).unwrap();
+/// let committed: Vec<u64> = log.committed_commands().cloned().collect();
 /// assert_eq!(committed, vec![7, 8]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     env: Env,
     params: ConsensusParams,
-    omega: CommEffOmega<P>,
     // Acceptor state.
     promised: Ballot,
     accepted: BTreeMap<u64, (Ballot, Entry<V>)>,
@@ -309,14 +321,13 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     /// The snapshot a `with_storage_and_snapshots` constructor recovered,
     /// for the application to rebuild its state from.
     recovered_snapshot: Option<Snapshot>,
-    /// Whether this incarnation recovered non-empty durable state (it then
-    /// broadcasts one `CatchUp` on start to find where the log has moved).
+    /// Whether this incarnation is a restart — its WAL, its snapshot or the
+    /// node's Ω segment held durable state. It then broadcasts one
+    /// `CatchUp` on start to find where the log has moved.
     recovered: bool,
     outgoing_snaps: BTreeMap<ProcessId, OutgoingSnapshot>,
     incoming_snap: Option<IncomingSnapshot>,
-    // External-leadership mode: the embedded Ω is inert and leadership is
-    // injected via `set_leader` (one shared Ω per node drives many groups).
-    external: bool,
+    /// The node's Ω output, as last injected by [`ReplicatedLog::set_leader`].
     believed: Option<ProcessId>,
     // Leader leases (see `LeaseParams`). All of this state is *volatile by
     // design*: a restarted replica forgets both sides of every lease, and
@@ -336,8 +347,7 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     lease_round_start: Instant,
     /// Per-process acks of the in-flight grant round.
     lease_acks: Vec<bool>,
-    /// Shard tag stamped on lease/read probe events (0 when unsharded; a
-    /// log embedded in a sharded node doesn't otherwise know its group).
+    /// The group's shard id, stamped on lease/read probe events.
     probe_shard: u32,
     /// Observability sink; `NoopProbe` by default (zero cost).
     probe: P,
@@ -346,85 +356,36 @@ pub struct ReplicatedLog<V, P: Probe = NoopProbe> {
     clock: Instant,
 }
 
-impl<V> ReplicatedLog<V>
-where
-    V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
-{
-    /// Creates a replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new(env: &Env, params: ConsensusParams) -> Self {
-        ReplicatedLog::new_with_probe(env, params, NoopProbe)
-    }
-
-    /// Creates a replica backed by a durable log, recovering the promised
-    /// ballot, accepted entries, chosen prefix and Ω counter a previous
-    /// incarnation persisted.
-    ///
-    /// Recovery runs synchronously before any stimulus (the "recovering
-    /// rejoin mode"). Recovered chosen slots are restored *without*
-    /// re-emitting their `Committed` outputs — the pre-crash incarnation
-    /// already emitted them; applications rebuilding state after a restart
-    /// read [`Self::chosen_log`] / [`Self::committed_commands`] instead. The
-    /// recovered Ω counter is bumped once so the restarted replica rejoins
-    /// as a follower. See [`crate::durable`] for the per-field safety
-    /// arguments.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log cannot be read or the boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        ReplicatedLog::with_storage_and_probe(env, params, storage, NoopProbe)
-    }
-
-    /// Like [`ReplicatedLog::with_storage`], additionally attaching a
-    /// snapshot store (see
-    /// [`ReplicatedLog::with_storage_snapshots_and_probe`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log or snapshot store cannot be read or the boot record
-    /// cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_and_snapshots(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        snapshots: SnapshotHandle,
-    ) -> Result<Self, StorageError> {
-        ReplicatedLog::with_storage_snapshots_and_probe(env, params, storage, snapshots, NoopProbe)
-    }
-}
-
 impl<V, P> ReplicatedLog<V, P>
 where
     V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
     P: Probe,
 {
-    /// Like [`ReplicatedLog::new`], with an observability probe (shared
-    /// with the embedded Ω detector, so one sink sees both layers).
+    /// Opens group `shard` of a node: recovers the promised ballot,
+    /// accepted entries and chosen prefix from `wal`, then floors the
+    /// replica at `snapshots`' latest snapshot. Either store may be absent
+    /// (a volatile group). `node_restarted` says the node's Ω segment held
+    /// state, so the group counts as restarted even when its own stores are
+    /// empty (see [`crate::durable`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_with_probe(env: &Env, params: ConsensusParams, probe: P) -> Self {
-        ReplicatedLog {
+    /// Recovery runs synchronously before any stimulus (the "recovering
+    /// rejoin mode"). Recovered chosen slots are restored *without*
+    /// re-emitting their `Committed` outputs — the pre-crash incarnation
+    /// already emitted them; applications rebuilding state after a restart
+    /// read [`Self::recovered_snapshot`] and [`Self::committed_commands_from`]
+    /// instead.
+    pub(crate) fn open(
+        env: &Env,
+        params: ConsensusParams,
+        wal: Option<StorageHandle>,
+        snapshots: Option<SnapshotHandle>,
+        node_restarted: bool,
+        shard: u32,
+        probe: P,
+    ) -> Result<Self, StorageError> {
+        let mut sm = ReplicatedLog {
             env: *env,
             params,
-            omega: CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
             promised: Ballot::ZERO,
             accepted: BTreeMap::new(),
             chosen: BTreeMap::new(),
@@ -442,10 +403,9 @@ where
             snapshots: None,
             watermark: 0,
             recovered_snapshot: None,
-            recovered: false,
+            recovered: node_restarted,
             outgoing_snaps: BTreeMap::new(),
             incoming_snap: None,
-            external: false,
             believed: None,
             holdoff_until: Instant::ZERO,
             holdoff_for: None,
@@ -453,185 +413,61 @@ where
             lease_seq: 0,
             lease_round_start: Instant::ZERO,
             lease_acks: vec![false; env.n()],
-            probe_shard: 0,
+            probe_shard: shard,
             probe,
             clock: Instant::ZERO,
+        };
+        if let Some(storage) = wal {
+            sm.recover_wal(storage)?;
         }
-    }
-
-    /// Like [`ReplicatedLog::new`], but in *external-leadership* mode: the
-    /// embedded Ω detector stays inert (no heartbeats, no timers, Ω
-    /// messages dropped) and leadership is injected with
-    /// [`ReplicatedLog::set_leader`] instead. This is how a node hosting
-    /// many co-located shard groups shares **one** Ω across all of them —
-    /// steady-state election traffic stays independent of the group count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_externally_led(env: &Env, params: ConsensusParams) -> Self
-    where
-        P: Default,
-    {
-        let mut sm = ReplicatedLog::new_with_probe(env, params, P::default());
-        sm.external = true;
-        sm
-    }
-
-    /// Like [`ReplicatedLog::new_externally_led`], with an observability
-    /// probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_externally_led_with_probe(env: &Env, params: ConsensusParams, probe: P) -> Self {
-        let mut sm = ReplicatedLog::new_with_probe(env, params, probe);
-        sm.external = true;
-        sm
-    }
-
-    /// Like [`ReplicatedLog::with_storage_and_probe`], but in
-    /// external-leadership mode (see
-    /// [`ReplicatedLog::new_externally_led`]): the group recovers its own
-    /// WAL segment exactly as usual, then waits for leadership from the
-    /// shared detector.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log cannot be read or the boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_externally_led(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::with_storage_and_probe(env, params, storage, probe)?;
-        sm.external = true;
+        if let Some(snapshots) = snapshots {
+            sm.attach_snapshots(snapshots)?;
+        }
         Ok(sm)
     }
 
-    /// Like [`ReplicatedLog::with_storage`], with an observability probe.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log cannot be read or the boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_and_probe(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::new_with_probe(env, params, probe);
+    /// Replays `storage` into the acceptor and learner state and keeps the
+    /// handle for the write-ahead path.
+    fn recover_wal(&mut self, storage: StorageHandle) -> Result<(), StorageError> {
         let records: Vec<RsmRecord<V>> = storage.load_records()?;
-        sm.probe.emit(ProbeEvent::WalRecover {
-            node: env.id(),
+        self.probe.emit(ProbeEvent::WalRecover {
+            node: self.env.id(),
             at: Instant::ZERO,
             records: records.len() as u64,
         });
         // The WAL bytes just replayed are exactly what snapshots exist to
         // bound — surfaced as the `recovery_replay_bytes` counter.
-        sm.probe.emit(ProbeEvent::RecoveryReplay {
-            node: env.id(),
+        self.probe.emit(ProbeEvent::RecoveryReplay {
+            node: self.env.id(),
             at: Instant::ZERO,
             bytes: storage.stats().live_bytes,
         });
-        let recovering = !records.is_empty();
-        sm.recovered = recovering;
-        let mut omega_counter = 0u64;
+        self.recovered |= !records.is_empty();
         for rec in records {
             match rec {
-                RsmRecord::OmegaCounter(c) => omega_counter = omega_counter.max(c),
-                RsmRecord::Promised(b) => sm.promised = sm.promised.max(b),
+                RsmRecord::Promised(b) => self.promised = self.promised.max(b),
                 RsmRecord::Accepted { slot, b, entry } => {
-                    sm.promised = sm.promised.max(b);
-                    match sm.accepted.get(&slot) {
+                    self.promised = self.promised.max(b);
+                    match self.accepted.get(&slot) {
                         Some((prev, _)) if *prev > b => {}
                         _ => {
-                            sm.accepted.insert(slot, (b, entry));
+                            self.accepted.insert(slot, (b, entry));
                         }
                     }
                 }
                 RsmRecord::Chosen { slot, entry } => {
-                    sm.chosen.entry(slot).or_insert(entry);
+                    self.chosen.entry(slot).or_insert(entry);
                 }
             }
         }
-        sm.highest_seen = sm.promised;
+        self.highest_seen = self.promised;
         // Quietly advance past the contiguous recovered prefix: those
         // Committed events were already emitted by the previous incarnation.
-        while sm.chosen.contains_key(&sm.emitted_upto) {
-            sm.emitted_upto += 1;
+        while self.chosen.contains_key(&self.emitted_upto) {
+            self.emitted_upto += 1;
         }
-        let boot_counter = if recovering {
-            omega_counter.saturating_add(1)
-        } else {
-            0
-        };
-        storage.append_record(&RsmRecord::<V>::OmegaCounter(boot_counter))?;
-        sm.omega.restore_own_counter(boot_counter);
-        sm.storage = Some(storage);
-        Ok(sm)
-    }
-
-    /// Like [`ReplicatedLog::with_storage_and_probe`], additionally
-    /// attaching a snapshot store: any snapshot it holds floors the
-    /// replica's watermark before WAL replay semantics apply (records below
-    /// the watermark are covered by the snapshot and ignored), and
-    /// [`ReplicatedLog::compact`] becomes available. The recovered snapshot
-    /// blob is exposed through [`ReplicatedLog::recovered_snapshot`] for the
-    /// application to rebuild its state from.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log or snapshot store cannot be read, or the boot
-    /// record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_snapshots_and_probe(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        snapshots: SnapshotHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::with_storage_and_probe(env, params, storage, probe)?;
-        sm.attach_snapshots(snapshots)?;
-        Ok(sm)
-    }
-
-    /// Like [`ReplicatedLog::with_storage_snapshots_and_probe`], in
-    /// external-leadership mode (see [`ReplicatedLog::new_externally_led`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log or snapshot store cannot be read, or the boot
-    /// record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn with_storage_snapshots_externally_led(
-        env: &Env,
-        params: ConsensusParams,
-        storage: StorageHandle,
-        snapshots: SnapshotHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
-        let mut sm = ReplicatedLog::with_storage_snapshots_and_probe(
-            env, params, storage, snapshots, probe,
-        )?;
-        sm.external = true;
-        Ok(sm)
+        self.storage = Some(storage);
+        Ok(())
     }
 
     /// Loads the snapshot store's current snapshot (if any), floors the
@@ -683,12 +519,11 @@ where
     }
 
     /// The records that must survive a WAL rewrite at the current horizon:
-    /// the latest Ω counter and promise, and every accepted/chosen entry at
-    /// or above the watermark.
+    /// the latest promise, and every accepted/chosen entry at or above the
+    /// watermark.
     fn live_records(&self) -> Vec<RsmRecord<V>> {
         let mut live: Vec<RsmRecord<V>> =
-            Vec::with_capacity(2 + self.accepted.len() + self.chosen.len());
-        live.push(RsmRecord::OmegaCounter(self.omega.own_counter()));
+            Vec::with_capacity(1 + self.accepted.len() + self.chosen.len());
         live.push(RsmRecord::Promised(self.promised));
         for (slot, (b, entry)) in &self.accepted {
             live.push(RsmRecord::Accepted {
@@ -778,7 +613,7 @@ where
             .unwrap_or_default()
     }
 
-    /// The snapshot recovered at construction, if any — the application
+    /// The snapshot recovered when the group was opened, if any — the application
     /// rebuilds its state from this blob, then replays
     /// [`ReplicatedLog::committed_commands_from`] the watermark on.
     pub fn recovered_snapshot(&self) -> Option<&Snapshot> {
@@ -889,30 +724,16 @@ where
         &self.probe
     }
 
-    /// The embedded Ω detector (for instrumentation).
-    pub fn omega(&self) -> &CommEffOmega<P> {
-        &self.omega
-    }
-
-    /// `true` if this log runs in external-leadership mode (embedded Ω
-    /// inert, leadership injected via [`ReplicatedLog::set_leader`]).
-    pub fn is_externally_led(&self) -> bool {
-        self.external
-    }
-
-    /// Injects the current leader from an external detector (the shared
-    /// per-node Ω of a sharded deployment). Emits [`RsmEvent::Leader`] and
-    /// runs the same prepare/abdicate transition the embedded Ω output
-    /// would: becoming leader starts phase 1 once, losing leadership drops
+    /// Injects the node's Ω output — the only way leadership reaches a
+    /// group. Becoming leader starts phase 1 once, losing leadership drops
     /// in-flight proposals. Repeated injections of the same leader are
-    /// no-ops. Ignored unless the log is in external-leadership mode.
+    /// no-ops.
     pub fn set_leader(&mut self, ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>, leader: ProcessId) {
         self.clock = ctx.now();
-        if !self.external || self.wedged || self.believed == Some(leader) {
+        if self.wedged || self.believed == Some(leader) {
             return;
         }
         self.believed = Some(leader);
-        ctx.output(RsmEvent::Leader(leader));
         if leader == self.me() {
             if matches!(self.state, LeaderState::Follower) {
                 self.start_prepare(ctx);
@@ -922,14 +743,9 @@ where
         }
     }
 
-    /// Whether this replica currently believes it should lead: the external
-    /// detector's word in external mode, the embedded Ω's otherwise.
+    /// Whether the node's Ω currently names this replica leader.
     fn believes_leadership(&self) -> bool {
-        if self.external {
-            self.believed == Some(self.me())
-        } else {
-            self.omega.is_leader()
-        }
+        self.believed == Some(self.me())
     }
 
     /// Returns `true` if this replica currently leads with an established
@@ -941,12 +757,6 @@ where
     /// Number of contiguously committed slots.
     pub fn committed_len(&self) -> u64 {
         self.emitted_upto
-    }
-
-    /// Stamps lease/read probe events with `shard`. Sharded nodes call this
-    /// once per group at construction; unsharded logs stay at 0.
-    pub fn set_probe_shard(&mut self, shard: u32) {
-        self.probe_shard = shard;
     }
 
     /// Whether the lease plane is configured on at all (see
@@ -986,12 +796,7 @@ where
             ctx.output(RsmEvent::ReadIndexAt { req, index });
             return;
         }
-        let believed = if self.external {
-            self.believed
-        } else {
-            Some(self.omega.leader())
-        };
-        if let Some(leader) = believed {
+        if let Some(leader) = self.believed {
             if leader != self.me() {
                 ctx.send(leader, RsmMsg::ReadIndex { req });
             }
@@ -1160,49 +965,6 @@ where
 
     fn majority(&self) -> usize {
         self.env.membership().majority()
-    }
-
-    fn drive_omega(
-        &mut self,
-        ctx: &mut Ctx<'_, RsmMsg<V>, RsmEvent<V>>,
-        step: impl FnOnce(&mut CommEffOmega<P>, &mut Ctx<'_, OmegaMsg, ProcessId>),
-    ) {
-        let mut fx: Effects<OmegaMsg, ProcessId> = Effects::new();
-        let counter_before = self.omega.own_counter();
-        {
-            let mut octx = Ctx::new(&self.env, ctx.now(), &mut fx);
-            step(&mut self.omega, &mut octx);
-        }
-        // Write-ahead: the bumped counter must be durable before any message
-        // revealing it can leave (effects are drained after we return).
-        let counter_after = self.omega.own_counter();
-        if counter_after != counter_before && !self.persist(&RsmRecord::OmegaCounter(counter_after))
-        {
-            return;
-        }
-        for s in fx.sends {
-            ctx.send(s.to, RsmMsg::Omega(s.msg));
-        }
-        for cmd in fx.timers {
-            match cmd {
-                TimerCmd::Set { timer, after } => {
-                    ctx.set_timer(timer.offset(OMEGA_TIMER_BASE), after);
-                }
-                TimerCmd::Cancel { timer } => {
-                    ctx.cancel_timer(timer.offset(OMEGA_TIMER_BASE));
-                }
-            }
-        }
-        for leader in fx.outputs {
-            ctx.output(RsmEvent::Leader(leader));
-            if leader == self.me() {
-                if matches!(self.state, LeaderState::Follower) {
-                    self.start_prepare(ctx);
-                }
-            } else {
-                self.abdicate(ctx.now());
-            }
-        }
     }
 
     fn abdicate(&mut self, now: Instant) {
@@ -2149,7 +1911,6 @@ where
         msg: RsmMsg<V>,
     ) {
         match msg {
-            RsmMsg::Omega(_) => unreachable!("routed by caller"),
             RsmMsg::Prepare { b, from_slot } => {
                 self.highest_seen = self.highest_seen.max(b);
                 // Lease holdoff: while a granted lease (or the boot
@@ -2479,11 +2240,6 @@ where
                 low_slot: self.emitted_upto,
             });
         }
-        // In external-leadership mode the embedded Ω never runs: the shared
-        // per-node detector injects leadership via `set_leader`.
-        if !self.external {
-            self.drive_omega(ctx, |omega, octx| omega.on_start(octx));
-        }
     }
 
     fn on_message(
@@ -2496,16 +2252,7 @@ where
         if self.wedged {
             return;
         }
-        match msg {
-            RsmMsg::Omega(m) => {
-                // Ω traffic is not ours in external mode — the shared
-                // per-node detector owns it.
-                if !self.external {
-                    self.drive_omega(ctx, |omega, octx| omega.on_message(octx, from, m));
-                }
-            }
-            other => self.on_rsm_msg(ctx, from, other),
-        }
+        self.on_rsm_msg(ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Output>, timer: TimerId) {
@@ -2513,13 +2260,7 @@ where
         if self.wedged {
             return;
         }
-        if timer.0 >= OMEGA_TIMER_BASE {
-            if self.external {
-                return;
-            }
-            let inner = TimerId(timer.0 - OMEGA_TIMER_BASE);
-            self.drive_omega(ctx, |omega, octx| omega.on_timer(octx, inner));
-        } else if timer == RETRY_TIMER {
+        if timer == RETRY_TIMER {
             self.on_retry(ctx);
             ctx.set_timer(RETRY_TIMER, self.params.retry);
         } else if timer == DECIDE_TIMER {
@@ -2547,9 +2288,37 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lls_primitives::Instant;
+    use lls_primitives::{Effects, Instant, TimerCmd};
 
     type Log = ReplicatedLog<u64>;
+
+    /// Group 0 of a node over `wal`, as [`crate::ShardedNode`] opens it on
+    /// a first boot.
+    fn with_storage(
+        env: &Env,
+        params: ConsensusParams,
+        wal: StorageHandle,
+    ) -> Result<Log, StorageError> {
+        ReplicatedLog::open(env, params, Some(wal), None, false, 0, NoopProbe)
+    }
+
+    /// Like [`with_storage`], with a snapshot store.
+    fn with_storage_and_snapshots(
+        env: &Env,
+        params: ConsensusParams,
+        wal: StorageHandle,
+        snapshots: SnapshotHandle,
+    ) -> Result<Log, StorageError> {
+        ReplicatedLog::open(env, params, Some(wal), Some(snapshots), false, 0, NoopProbe)
+    }
+
+    /// Starts `sm` as its node would: the group's own start, then the Ω's
+    /// first output — p0, since every counter starts at zero.
+    fn boot(env: &Env, sm: &mut Log, fx: &mut Effects<RsmMsg<u64>, RsmEvent<u64>>) {
+        let mut ctx = Ctx::new(env, Instant::ZERO, fx);
+        sm.on_start(&mut ctx);
+        sm.set_leader(&mut ctx, ProcessId(0));
+    }
 
     struct Harness {
         env: Env,
@@ -2564,7 +2333,8 @@ mod tests {
 
         fn with_params(me: u32, n: usize, params: ConsensusParams) -> Self {
             let env = Env::new(ProcessId(me), n);
-            let sm = ReplicatedLog::new(&env, params);
+            let sm = ReplicatedLog::open(&env, params, None, None, false, 0, NoopProbe)
+                .expect("a volatile group reads no storage");
             Harness {
                 env,
                 sm,
@@ -2573,8 +2343,7 @@ mod tests {
         }
 
         fn start(&mut self) -> Effects<RsmMsg<u64>, RsmEvent<u64>> {
-            let mut ctx = Ctx::new(&self.env, Instant::ZERO, &mut self.fx);
-            self.sm.on_start(&mut ctx);
+            boot(&self.env, &mut self.sm, &mut self.fx);
             self.fx.take()
         }
 
@@ -2657,27 +2426,33 @@ mod tests {
     #[test]
     fn externally_led_log_is_silent_until_leadership_is_injected() {
         let env = Env::new(ProcessId(0), 3);
-        let mut sm: Log = ReplicatedLog::new_externally_led(&env, ConsensusParams::default());
-        assert!(sm.is_externally_led());
+        let mut sm: Log = ReplicatedLog::open(
+            &env,
+            ConsensusParams::default(),
+            None,
+            None,
+            false,
+            0,
+            NoopProbe,
+        )
+        .expect("a volatile group reads no storage");
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         sm.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
         let out = fx.take();
-        assert!(
-            out.sends.is_empty(),
-            "no Ω heartbeats, no prepares: {:?}",
-            out.sends
-        );
-        // Only the retry timer is armed — no Ω timers.
+        assert!(out.sends.is_empty(), "no prepares: {:?}", out.sends);
+        // Only the retry timer is armed.
         assert!(out
             .timers
             .iter()
             .all(|t| matches!(t, TimerCmd::Set { timer, .. } if *timer == RETRY_TIMER)));
+        // Its retry tick does not elect it either.
+        sm.on_timer(&mut Ctx::new(&env, Instant::ZERO, &mut fx), RETRY_TIMER);
+        assert!(fx.take().sends.is_empty());
 
-        // Injecting our own id starts phase 1 exactly like an Ω output.
+        // Injecting our own id starts phase 1.
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
         sm.set_leader(&mut ctx, ProcessId(0));
         let out = fx.take();
-        assert!(out.outputs.contains(&RsmEvent::Leader(ProcessId(0))));
         assert_eq!(
             out.sends
                 .iter()
@@ -2688,37 +2463,13 @@ mod tests {
         // Re-injecting the same leader is a no-op.
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
         sm.set_leader(&mut ctx, ProcessId(0));
-        assert!(fx.take().outputs.is_empty());
+        assert!(fx.take().sends.is_empty());
 
         // Losing leadership abdicates.
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
         sm.set_leader(&mut ctx, ProcessId(2));
-        let out = fx.take();
-        assert!(out.outputs.contains(&RsmEvent::Leader(ProcessId(2))));
-        assert!(!sm.is_established_leader());
-    }
-
-    #[test]
-    fn externally_led_log_drops_omega_messages_and_timers() {
-        let env = Env::new(ProcessId(1), 3);
-        let mut sm: Log = ReplicatedLog::new_externally_led(&env, ConsensusParams::default());
-        let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
-        sm.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
         fx.take();
-        let counter_before = sm.omega().own_counter();
-        let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
-        sm.on_message(
-            &mut ctx,
-            ProcessId(0),
-            RsmMsg::Omega(omega::OmegaMsg::Alive { counter: 9 }),
-        );
-        let out = fx.take();
-        assert!(out.sends.is_empty() && out.outputs.is_empty());
-        let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
-        sm.on_timer(&mut ctx, TimerId(OMEGA_TIMER_BASE));
-        let out = fx.take();
-        assert!(out.sends.is_empty() && out.outputs.is_empty());
-        assert_eq!(sm.omega().own_counter(), counter_before);
+        assert!(!sm.is_established_leader());
     }
 
     #[test]
@@ -2818,7 +2569,7 @@ mod tests {
     fn durable(me: u32) -> (Harness, StorageHandle) {
         let store = StorageHandle::in_memory();
         let env = Env::new(ProcessId(me), 3);
-        let sm = ReplicatedLog::with_storage(&env, ConsensusParams::default(), store.clone())
+        let sm = with_storage(&env, ConsensusParams::default(), store.clone())
             .expect("fresh in-memory store");
         let mut h = Harness {
             env,
@@ -3666,8 +3417,7 @@ mod tests {
         let store = StorageHandle::in_memory();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         {
-            let mut sm: Log =
-                ReplicatedLog::with_storage(&env, batched_params(8, 4), store.clone()).unwrap();
+            let mut sm: Log = with_storage(&env, batched_params(8, 4), store.clone()).unwrap();
             let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
             sm.on_message(
                 &mut ctx,
@@ -3680,7 +3430,7 @@ mod tests {
             fx.take();
             // Crash.
         }
-        let sm2: Log = ReplicatedLog::with_storage(&env, batched_params(8, 4), store).unwrap();
+        let sm2: Log = with_storage(&env, batched_params(8, 4), store).unwrap();
         assert_eq!(
             sm2.chosen(0),
             Some(&Entry::Batch(vec![1, 2, 3])),
@@ -3700,8 +3450,7 @@ mod tests {
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
         {
             let mut sm: Log =
-                ReplicatedLog::with_storage(&env, ConsensusParams::default(), store.clone())
-                    .unwrap();
+                with_storage(&env, ConsensusParams::default(), store.clone()).unwrap();
             let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
             sm.on_message(
                 &mut ctx,
@@ -3740,8 +3489,7 @@ mod tests {
             }));
             // Crash: the in-memory replica is dropped, only the WAL survives.
         }
-        let mut sm2: Log =
-            ReplicatedLog::with_storage(&env, ConsensusParams::default(), store).unwrap();
+        let mut sm2: Log = with_storage(&env, ConsensusParams::default(), store).unwrap();
         assert_eq!(sm2.promised, b(2, 0), "promise must survive the crash");
         assert_eq!(
             sm2.chosen(0),
@@ -3752,11 +3500,6 @@ mod tests {
             sm2.committed_len(),
             1,
             "recovered prefix is advanced past without re-emitting"
-        );
-        assert_eq!(
-            sm2.omega().own_counter(),
-            1,
-            "incarnation bump: recovered counter 0 + 1"
         );
         // A higher-ballot Prepare reveals the pre-crash accepted suffix.
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
@@ -3829,7 +3572,7 @@ mod tests {
         let store = StorageHandle::in_memory();
         let snaps = SnapshotHandle::in_memory();
         {
-            let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
+            let mut sm: Log = with_storage_and_snapshots(
                 &env,
                 ConsensusParams::default(),
                 store.clone(),
@@ -3850,13 +3593,8 @@ mod tests {
             assert!(!sm.compact(8, vec![]).unwrap());
             // Crash.
         }
-        let sm2: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env,
-            ConsensusParams::default(),
-            store,
-            snaps,
-        )
-        .unwrap();
+        let sm2: Log =
+            with_storage_and_snapshots(&env, ConsensusParams::default(), store, snaps).unwrap();
         assert_eq!(sm2.watermark(), 8);
         let snap = sm2.recovered_snapshot().expect("snapshot recovered");
         assert_eq!((snap.watermark, snap.data.clone()), (8, vec![0xAB; 4]));
@@ -3878,7 +3616,7 @@ mod tests {
     fn compacted_acceptor_still_reveals_its_live_suffix_and_low_slot() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env = Env::new(ProcessId(1), 3);
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
+        let mut sm: Log = with_storage_and_snapshots(
             &env,
             ConsensusParams::default(),
             StorageHandle::in_memory(),
@@ -3976,7 +3714,7 @@ mod tests {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env0 = Env::new(ProcessId(0), 3);
         // The sender: a compacted leader-side replica with a snapshot.
-        let mut sender: Log = ReplicatedLog::with_storage_and_snapshots(
+        let mut sender: Log = with_storage_and_snapshots(
             &env0,
             ConsensusParams::default(),
             StorageHandle::in_memory(),
@@ -4014,7 +3752,7 @@ mod tests {
         let env2 = Env::new(ProcessId(2), 3);
         let store2 = StorageHandle::in_memory();
         let snaps2 = SnapshotHandle::in_memory();
-        let mut recv: Log = ReplicatedLog::with_storage_and_snapshots(
+        let mut recv: Log = with_storage_and_snapshots(
             &env2,
             ConsensusParams::default(),
             store2.clone(),
@@ -4052,13 +3790,8 @@ mod tests {
         // The install is durable: a crash right after recovers from the
         // installed snapshot.
         drop(recv);
-        let recv2: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env2,
-            ConsensusParams::default(),
-            store2,
-            snaps2,
-        )
-        .unwrap();
+        let recv2: Log =
+            with_storage_and_snapshots(&env2, ConsensusParams::default(), store2, snaps2).unwrap();
         assert_eq!(recv2.watermark(), 12, "installed snapshot survives a crash");
 
         // The completion ack retires the sender's outgoing transfer state.
@@ -4091,7 +3824,7 @@ mod tests {
         // chosen slot to trigger its own CatchUp, so in a quiet cluster the
         // decider's retry tick is the only remaining delivery path.
         let env = Env::new(ProcessId(0), 3);
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
+        let mut sm: Log = with_storage_and_snapshots(
             &env,
             ConsensusParams::default(),
             StorageHandle::in_memory(),
@@ -4099,8 +3832,7 @@ mod tests {
         )
         .unwrap();
         let mut fx: Effects<RsmMsg<u64>, RsmEvent<u64>> = Effects::new();
-        let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
-        sm.on_start(&mut ctx);
+        boot(&env, &mut sm, &mut fx);
         fx.take();
         let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
         sm.on_message(
@@ -4194,7 +3926,7 @@ mod tests {
     fn corrupt_chunk_is_ignored_and_retried_round_resends_it() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env0 = Env::new(ProcessId(0), 3);
-        let mut sender: Log = ReplicatedLog::with_storage_and_snapshots(
+        let mut sender: Log = with_storage_and_snapshots(
             &env0,
             ConsensusParams::default(),
             StorageHandle::in_memory(),
@@ -4221,7 +3953,7 @@ mod tests {
         );
 
         let env2 = Env::new(ProcessId(2), 3);
-        let mut recv: Log = ReplicatedLog::with_storage_and_snapshots(
+        let mut recv: Log = with_storage_and_snapshots(
             &env2,
             ConsensusParams::default(),
             StorageHandle::in_memory(),
@@ -4260,7 +3992,7 @@ mod tests {
     fn decides_below_the_watermark_are_dropped() {
         use lls_primitives::{SnapshotHandle, StorageHandle};
         let env = Env::new(ProcessId(1), 3);
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
+        let mut sm: Log = with_storage_and_snapshots(
             &env,
             ConsensusParams::default(),
             StorageHandle::in_memory(),

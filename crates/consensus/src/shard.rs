@@ -1,20 +1,17 @@
 //! Sharded multi-group replication: many independent replicated logs per
 //! node, one shared Ω detector feeding leadership to all of them.
 //!
-//! A single [`ReplicatedLog`] is one serialization
-//! point: every command, whatever key it touches, flows through one slot
-//! sequence. This module partitions the keyspace into `S` independent RSM
-//! *groups* — each with its own slot sequence, WAL segment, and batching
-//! parameters — so disjoint keys commit in parallel.
+//! This is the only way the stack is composed: every node runs **one**
+//! [`CommEffOmega`] detector and `S` [`ReplicatedLog`] *groups*, each with
+//! its own slot sequence, WAL segment, and batching parameters, so disjoint
+//! keys commit in parallel. `S = 1` is the unsharded replicated log.
 //!
-//! The communication-efficiency concern is the heartbeat plane: a naive
-//! deployment embeds one Ω per group, multiplying the detector's n−1 timely
-//! links by `S`. Here every node runs **one** [`CommEffOmega`] instance and
-//! multiplexes its output across all locally attached groups (each group is
-//! constructed in external-leadership mode, see
-//! [`ReplicatedLog::set_leader`]). Steady-state election traffic is
-//! therefore independent of the shard count — the property experiment E20
-//! gates on.
+//! The communication-efficiency concern is the heartbeat plane: one Ω per
+//! group would multiply the detector's n−1 timely links by `S`. Here the
+//! node's one detector feeds its output to every locally attached group
+//! through [`ReplicatedLog::set_leader`], so steady-state election traffic
+//! is independent of the shard count — the property experiment E20 gates
+//! on.
 //!
 //! Pieces:
 //!
@@ -26,9 +23,11 @@
 //!   untagged; group traffic carries its [`ShardId`] and is stamped into a
 //!   version-3 frame by shard-aware transports (see
 //!   [`Wire::shard_tag`]).
+//! * [`NodeStorage`] — a node's durable state: one WAL segment (and an
+//!   optional snapshot store) per group, plus the Ω counter's segment.
 //! * [`ShardedNode`] — the per-node composite state machine: one shared Ω,
-//!   a map of externally-led groups, timer and message demultiplexing, and
-//!   per-group WAL recovery on restart.
+//!   a map of groups, timer and message demultiplexing, and per-group
+//!   recovery on restart.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -42,7 +41,6 @@ use lls_primitives::{
 use omega::{CommEffOmega, OmegaMsg};
 use serde::{Deserialize, Serialize};
 
-use crate::durable::RsmRecord;
 use crate::msg::{classify_rsm_msg, RsmMsg};
 use crate::rsm::{LifecycleId, ReplicatedLog, RsmEvent, DECIDE_TIMER};
 use crate::single::{ConsensusParams, OMEGA_TIMER_BASE, RETRY_TIMER};
@@ -59,7 +57,7 @@ fn group_timer(shard: ShardId, timer: TimerId) -> TimerId {
     } else {
         debug_assert_eq!(
             timer, RETRY_TIMER,
-            "externally led groups arm only the retry and decide timers"
+            "groups arm only the retry and decide timers"
         );
         timer.offset(shard.0)
     }
@@ -330,9 +328,24 @@ pub struct ShardRequest<V> {
     pub cmd: V,
 }
 
-/// One node of a sharded deployment: a single shared [`CommEffOmega`]
-/// detector plus one externally-led [`ReplicatedLog`] per locally attached
-/// shard group, demultiplexed over a single transport.
+/// The durable state of one node: a WAL segment per attached shard group,
+/// optional snapshot stores, and the segment that holds the node's Ω
+/// counter. The default is a volatile node: nothing is persisted or
+/// recovered.
+#[derive(Debug, Clone, Default)]
+pub struct NodeStorage {
+    /// One WAL segment per attached group.
+    pub wals: BTreeMap<ShardId, StorageHandle>,
+    /// Snapshot stores; a group without one runs without compaction.
+    pub snapshots: BTreeMap<ShardId, SnapshotHandle>,
+    /// The Ω counter's segment. A node with one persists every attached
+    /// group, so `wals` must cover them all.
+    pub omega: Option<StorageHandle>,
+}
+
+/// One node: a single shared [`CommEffOmega`] detector plus one
+/// [`ReplicatedLog`] per locally attached shard group, demultiplexed over a
+/// single transport.
 ///
 /// Leadership flows in one direction: the shared Ω elects a per-node
 /// leader; every attached group whose replica set contains that leader has
@@ -350,18 +363,16 @@ pub struct ShardedNode<V, P: Probe = NoopProbe> {
     omega: CommEffOmega<P>,
     placement: PlacementManager,
     groups: BTreeMap<ShardId, ReplicatedLog<V, P>>,
-    omega_store: Option<StorageHandle>,
     believed: Option<ProcessId>,
     params: ConsensusParams,
     probe: P,
-    wedged: bool,
 }
 
 impl<V> ShardedNode<V>
 where
     V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
 {
-    /// Creates a node hosting every shard attached in `placement`, all
+    /// A volatile node hosting every shard attached in `placement`, all
     /// groups sharing `params` (per-group parameter overrides go through
     /// [`ShardedNode::attach_with_params`]).
     ///
@@ -369,63 +380,8 @@ where
     ///
     /// Panics if the Ω parameters are invalid.
     pub fn new(env: &Env, params: ConsensusParams, placement: PlacementManager) -> Self {
-        ShardedNode::new_with_probe(env, params, placement, NoopProbe)
-    }
-
-    /// Creates a node whose attached groups each recover from their own WAL
-    /// segment (`stores`), and whose shared Ω counter recovers from its own
-    /// dedicated segment (`omega_store`) — so a restart resumes **every**
-    /// co-located group from its own durable state.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL cannot be read or a boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        omega_store: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        ShardedNode::with_storage_and_probe(env, params, placement, stores, omega_store, NoopProbe)
-    }
-
-    /// Like [`ShardedNode::with_storage`], additionally attaching one
-    /// snapshot store per shard (shards missing from `snaps` run without
-    /// compaction). Each group recovers snapshot-first, then WAL — see
-    /// [`ReplicatedLog::with_storage_and_snapshots`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL or snapshot store cannot be read or a boot record
-    /// cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage_and_snapshots(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        snaps: &BTreeMap<ShardId, SnapshotHandle>,
-        omega_store: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        ShardedNode::with_storage_snapshots_and_probe(
-            env,
-            params,
-            placement,
-            stores,
-            snaps,
-            omega_store,
-            NoopProbe,
-        )
+        ShardedNode::open(env, params, placement, &NodeStorage::default(), NoopProbe)
+            .expect("a volatile node reads no storage")
     }
 }
 
@@ -434,141 +390,68 @@ where
     V: Clone + Eq + fmt::Debug + Send + Wire + LifecycleId + 'static,
     P: Probe,
 {
-    /// Like [`ShardedNode::new`], with an observability probe shared by the
-    /// Ω detector and every group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid.
-    pub fn new_with_probe(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        probe: P,
-    ) -> Self {
-        let groups = placement
-            .attached()
-            .map(|shard| {
-                let mut group =
-                    ReplicatedLog::new_externally_led_with_probe(env, params, probe.clone());
-                group.set_probe_shard(shard.0);
-                (shard, group)
-            })
-            .collect();
-        ShardedNode {
-            env: *env,
-            omega: CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
-            placement,
-            groups,
-            omega_store: None,
-            believed: None,
-            params,
-            probe,
-            wedged: false,
-        }
-    }
-
-    /// Like [`ShardedNode::with_storage`], with an observability probe.
+    /// Opens a node hosting every shard attached in `placement` over
+    /// `storage`, with `probe` shared by the Ω detector and every group.
+    /// The Ω recovers its counter from its own segment and rejoins one
+    /// incarnation above it; each group recovers snapshot-first, then its
+    /// own WAL segment — so a restart resumes **every** co-located group
+    /// from its own durable state.
     ///
     /// # Errors
     ///
-    /// Fails if any WAL cannot be read or a boot record cannot be written.
+    /// Fails if any WAL or snapshot store cannot be read or the Ω boot
+    /// record cannot be written.
     ///
     /// # Panics
     ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage_and_probe(
+    /// Panics if the Ω parameters are invalid, or if `storage` has an Ω
+    /// segment but no WAL segment for an attached shard.
+    pub fn open(
         env: &Env,
         params: ConsensusParams,
         placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        omega_store: StorageHandle,
+        storage: &NodeStorage,
         probe: P,
     ) -> Result<Self, StorageError> {
-        ShardedNode::with_storage_snapshots_and_probe(
-            env,
-            params,
-            placement,
-            stores,
-            &BTreeMap::new(),
-            omega_store,
-            probe,
-        )
-    }
-
-    /// Like [`ShardedNode::with_storage_and_snapshots`], with an
-    /// observability probe.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL or snapshot store cannot be read or a boot record
-    /// cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid, or if an attached shard has
-    /// no storage handle in `stores`.
-    pub fn with_storage_snapshots_and_probe(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        snaps: &BTreeMap<ShardId, SnapshotHandle>,
-        omega_store: StorageHandle,
-        probe: P,
-    ) -> Result<Self, StorageError> {
+        let omega = match &storage.omega {
+            Some(segment) => CommEffOmega::with_storage_and_probe(
+                env,
+                params.omega,
+                segment.clone(),
+                probe.clone(),
+            )?,
+            None => CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
+        };
+        // A non-empty Ω segment is what makes Ω rejoin in recovering mode:
+        // the node is restarting, and so is every group it attaches.
+        let restarted = omega.is_recovering();
         let mut groups = BTreeMap::new();
         for shard in placement.attached() {
-            let store = stores
-                .get(&shard)
-                .unwrap_or_else(|| panic!("no WAL segment for attached {shard}"))
-                .clone();
-            let mut group = match snaps.get(&shard) {
-                Some(snap) => ReplicatedLog::with_storage_snapshots_externally_led(
-                    env,
-                    params,
-                    store,
-                    snap.clone(),
-                    probe.clone(),
-                )?,
-                None => {
-                    ReplicatedLog::with_storage_externally_led(env, params, store, probe.clone())?
-                }
-            };
-            group.set_probe_shard(shard.0);
+            let wal = storage.wals.get(&shard).cloned();
+            assert!(
+                wal.is_some() || storage.omega.is_none(),
+                "no WAL segment for attached {shard}"
+            );
+            let group = ReplicatedLog::open(
+                env,
+                params,
+                wal,
+                storage.snapshots.get(&shard).cloned(),
+                restarted,
+                shard.0,
+                probe.clone(),
+            )?;
             groups.insert(shard, group);
         }
-        // The shared Ω counter lives in its own segment: recover the highest
-        // persisted counter, rejoin one incarnation above it (exactly the
-        // single-log recovery rule), and write the boot record ahead of any
-        // message that could reveal the new counter.
-        let records: Vec<RsmRecord<V>> = omega_store.load_records()?;
-        let mut counter = 0u64;
-        for rec in &records {
-            if let RsmRecord::OmegaCounter(c) = rec {
-                counter = counter.max(*c);
-            }
-        }
-        let boot = if records.is_empty() {
-            0
-        } else {
-            counter.saturating_add(1)
-        };
-        omega_store.append_record(&RsmRecord::<V>::OmegaCounter(boot))?;
-        let mut sm = ShardedNode {
+        Ok(ShardedNode {
             env: *env,
-            omega: CommEffOmega::new_with_probe(env, params.omega, probe.clone()),
+            omega,
             placement,
             groups,
-            omega_store: Some(omega_store),
             believed: None,
             params,
             probe,
-            wedged: false,
-        };
-        sm.omega.restore_own_counter(boot);
-        Ok(sm)
+        })
     }
 
     /// The shared Ω detector (for instrumentation).
@@ -637,14 +520,11 @@ where
         shard: ShardId,
         req: u64,
     ) {
-        if self.wedged {
-            return;
-        }
         self.drive_group(ctx, shard, |g, gctx| g.request_read_index(gctx, req));
     }
 
     /// Attaches `shard` at runtime with this node's default parameters: a
-    /// fresh externally-led group is created, started (its retry timer
+    /// fresh volatile group is created, started (its retry timer
     /// armed), and fed the currently believed leader. A no-op if already
     /// attached.
     pub fn attach(&mut self, ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>, shard: ShardId) {
@@ -664,9 +544,16 @@ where
             return;
         }
         self.placement.attach(shard);
-        let mut group =
-            ReplicatedLog::new_externally_led_with_probe(&self.env, params, self.probe.clone());
-        group.set_probe_shard(shard.0);
+        let group = ReplicatedLog::open(
+            &self.env,
+            params,
+            None,
+            None,
+            false,
+            shard.0,
+            self.probe.clone(),
+        )
+        .expect("a volatile group reads no storage");
         self.groups.insert(shard, group);
         self.drive_group(ctx, shard, |g, gctx| g.on_start(gctx));
         if let Some(leader) = self.believed {
@@ -690,9 +577,7 @@ where
     /// Runs one step of the group of `shard` (silently dropped if not
     /// attached), translating its effects into the sharded envelope: sends
     /// are tagged with the shard, the group's timers map to node-level ids
-    /// by `group_timer`, commits become [`ShardEvent::Committed`]. Per-group
-    /// `Leader` events are suppressed — the shared Ω's announcement is the
-    /// authoritative one and would otherwise repeat per shard.
+    /// by `group_timer`, commits become [`ShardEvent::Committed`].
     fn drive_group(
         &mut self,
         ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>,
@@ -720,7 +605,6 @@ where
         }
         for o in fx.outputs {
             match o {
-                RsmEvent::Leader(_) => {}
                 RsmEvent::Committed { slot, cmd } => {
                     ctx.output(ShardEvent::Committed { shard, slot, cmd });
                 }
@@ -738,35 +622,20 @@ where
         }
     }
 
-    /// Runs one step of the shared Ω, write-ahead persisting counter bumps
-    /// to the dedicated Ω segment, wrapping its sends untagged, offsetting
-    /// its timers by `OMEGA_TIMER_BASE`, and fanning each leader output
-    /// out to every attached group whose replica set contains the leader.
+    /// Runs one step of the shared Ω (which write-ahead persists its own
+    /// counter bumps to the Ω segment), wrapping its sends untagged,
+    /// offsetting its timers by `OMEGA_TIMER_BASE`, and fanning each leader
+    /// output out to every attached group whose replica set contains the
+    /// leader.
     fn drive_omega(
         &mut self,
         ctx: &mut Ctx<'_, ShardMsg<V>, ShardEvent<V>>,
         step: impl FnOnce(&mut CommEffOmega<P>, &mut Ctx<'_, OmegaMsg, ProcessId>),
     ) {
         let mut fx: Effects<OmegaMsg, ProcessId> = Effects::new();
-        let counter_before = self.omega.own_counter();
         {
             let mut octx = Ctx::new(&self.env, ctx.now(), &mut fx);
             step(&mut self.omega, &mut octx);
-        }
-        // Write-ahead: a bumped counter must be durable before any message
-        // revealing it can leave (effects drain after we return).
-        let counter_after = self.omega.own_counter();
-        if counter_after != counter_before {
-            if let Some(store) = &self.omega_store {
-                if store
-                    .append_record(&RsmRecord::<V>::OmegaCounter(counter_after))
-                    .is_err()
-                {
-                    // A node that cannot persist must fall silent.
-                    self.wedged = true;
-                    return;
-                }
-            }
         }
         for s in fx.sends {
             ctx.send(s.to, ShardMsg::Omega(s.msg));
@@ -815,9 +684,6 @@ where
     type Request = ShardRequest<V>;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Output>) {
-        if self.wedged {
-            return;
-        }
         let shards: Vec<ShardId> = self.groups.keys().copied().collect();
         for shard in shards {
             self.drive_group(ctx, shard, |g, gctx| g.on_start(gctx));
@@ -831,9 +697,6 @@ where
         from: ProcessId,
         msg: Self::Msg,
     ) {
-        if self.wedged {
-            return;
-        }
         match msg {
             ShardMsg::Omega(m) => {
                 self.drive_omega(ctx, |o, octx| o.on_message(octx, from, m));
@@ -845,9 +708,6 @@ where
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Output>, timer: TimerId) {
-        if self.wedged {
-            return;
-        }
         if timer.0 >= DECIDE_TIMER_BASE {
             let shard = ShardId(timer.0 - DECIDE_TIMER_BASE);
             self.drive_group(ctx, shard, |g, gctx| g.on_timer(gctx, DECIDE_TIMER));
@@ -863,9 +723,6 @@ where
     }
 
     fn on_request(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Output>, req: Self::Request) {
-        if self.wedged {
-            return;
-        }
         let ShardRequest { shard, cmd } = req;
         self.drive_group(ctx, shard, |g, gctx| g.on_request(gctx, cmd));
     }
@@ -1190,23 +1047,29 @@ mod tests {
     #[test]
     fn restart_recovers_every_attached_group_from_its_own_segment() {
         let placement = PlacementManager::with_all_attached(PlacementMap::uniform(2, 3));
-        let mut stores = BTreeMap::new();
-        stores.insert(ShardId(0), StorageHandle::in_memory());
-        stores.insert(ShardId(1), StorageHandle::in_memory());
-        let omega_store = StorageHandle::in_memory();
-        {
+        let storage = NodeStorage {
+            wals: [ShardId(0), ShardId(1)]
+                .into_iter()
+                .map(|s| (s, StorageHandle::in_memory()))
+                .collect(),
+            omega: Some(StorageHandle::in_memory()),
+            ..NodeStorage::default()
+        };
+        let open = || -> Node {
             let env = Env::new(ProcessId(0), 3);
-            let sm: Node = ShardedNode::with_storage(
+            ShardedNode::open(
                 &env,
                 ConsensusParams::default(),
                 placement.clone(),
-                &stores,
-                omega_store.clone(),
+                &storage,
+                NoopProbe,
             )
-            .expect("fresh stores");
+            .expect("in-memory stores")
+        };
+        {
             let mut h = Harness {
-                env,
-                sm,
+                env: Env::new(ProcessId(0), 3),
+                sm: open(),
                 fx: Effects::new(),
             };
             h.start();
@@ -1220,15 +1083,7 @@ mod tests {
             assert_eq!(h.sm.group(ShardId(1)).unwrap().committed_len(), 1);
             // Crash: drop the whole node.
         }
-        let env = Env::new(ProcessId(0), 3);
-        let sm2: Node = ShardedNode::with_storage(
-            &env,
-            ConsensusParams::default(),
-            placement,
-            &stores,
-            omega_store,
-        )
-        .expect("recover from WALs");
+        let sm2 = open();
         assert_eq!(
             sm2.group(ShardId(0))
                 .unwrap()

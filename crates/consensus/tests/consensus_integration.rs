@@ -6,11 +6,50 @@ use std::collections::BTreeMap;
 use consensus::checker::{
     check_consensus_safety, check_integrity, check_log_consistency, DecisionRecord,
 };
-use consensus::{
-    Consensus, ConsensusEvent, ConsensusParams, Entry, ReplicatedLog, RsmEvent, RsmRecord,
+use consensus::shard::{
+    classify_shard_msg, fnv1a64, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest,
 };
+use consensus::{
+    BatchParams, Consensus, ConsensusEvent, ConsensusParams, Entry, NodeStorage, ReplicatedLog,
+    RsmRecord, ShardedNode,
+};
+use lls_obs::NoopProbe;
 use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
+
+/// A replicated-log node: one Ω and one group, the unsharded composition.
+type Node = ShardedNode<u64>;
+
+const G: ShardId = ShardId(0);
+
+fn log_node(env: &Env, params: ConsensusParams) -> Node {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedNode::new(env, params, placement)
+}
+
+/// A [`log_node`] over a WAL segment and an Ω segment.
+fn durable_node(
+    env: &Env,
+    params: ConsensusParams,
+    wal: &StorageHandle,
+    omega: &StorageHandle,
+) -> Node {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    let storage = NodeStorage {
+        wals: BTreeMap::from([(G, wal.clone())]),
+        omega: Some(omega.clone()),
+        ..NodeStorage::default()
+    };
+    ShardedNode::open(env, params, placement, &storage, NoopProbe).expect("in-memory stores")
+}
+
+fn put(cmd: u64) -> ShardRequest<u64> {
+    ShardRequest { shard: G, cmd }
+}
+
+fn log(sim: &Simulator<Node>, p: ProcessId) -> &ReplicatedLog<u64> {
+    sim.node(p).group(G).expect("group 0 is attached")
+}
 
 fn system_s(n: usize, source: u32) -> Topology {
     Topology::system_s(n, ProcessId(source), SystemSParams::default())
@@ -191,21 +230,20 @@ fn replicated_log_commits_a_stream_in_order_everywhere() {
         builder = builder.request_at(
             Instant::from_ticks(10_000 + 500 * k),
             ProcessId(0),
-            1_000 + k,
+            put(1_000 + k),
         );
     }
-    let mut sim = builder.build_with(|env| ReplicatedLog::new(env, ConsensusParams::default()));
+    let mut sim = builder.build_with(|env| log_node(env, ConsensusParams::default()));
     sim.run_until(Instant::from_ticks(120_000));
 
     // Every replica's chosen log agrees slot-by-slot.
     let logs: Vec<BTreeMap<u64, Option<u64>>> = (0..n as u32)
-        .map(|p| sim.node(ProcessId(p)).chosen_log())
+        .map(|p| log(&sim, ProcessId(p)).chosen_log())
         .collect();
     check_log_consistency(&logs).unwrap();
 
     // The leader's committed command stream is exactly the submission order.
-    let committed: Vec<u64> = sim
-        .node(ProcessId(0))
+    let committed: Vec<u64> = log(&sim, ProcessId(0))
         .committed_commands()
         .cloned()
         .collect();
@@ -213,8 +251,7 @@ fn replicated_log_commits_a_stream_in_order_everywhere() {
 
     // And every replica converges to the same committed stream.
     for p in 1..n as u32 {
-        let stream: Vec<u64> = sim
-            .node(ProcessId(p))
+        let stream: Vec<u64> = log(&sim, ProcessId(p))
             .committed_commands()
             .cloned()
             .collect();
@@ -236,15 +273,15 @@ fn replicated_log_survives_leader_crash_without_losing_commits() {
     let mut sim = SimBuilder::new(n)
         .seed(31)
         .topology(topo)
-        .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+        .build_with(|env| log_node(env, ConsensusParams::default()));
     // Commit a few commands under the first leader.
     sim.run_until(Instant::from_ticks(5_000));
     let leader = sim.node(ProcessId(1)).omega().leader();
     for k in 0..5u64 {
-        sim.schedule_request(Instant::from_ticks(5_100 + 100 * k), leader, k);
+        sim.schedule_request(Instant::from_ticks(5_100 + 100 * k), leader, put(k));
     }
     sim.run_until(Instant::from_ticks(20_000));
-    let before: Vec<u64> = sim.node(leader).committed_commands().cloned().collect();
+    let before: Vec<u64> = log(&sim, leader).committed_commands().cloned().collect();
     assert_eq!(before, vec![0, 1, 2, 3, 4]);
 
     // Crash the leader; the survivors elect a new one and keep committing.
@@ -259,17 +296,20 @@ fn replicated_log_survives_leader_crash_without_losing_commits() {
         sim.schedule_request(
             Instant::from_ticks(60_000 + 200 * (k - 5) + 1),
             new_leader,
-            k,
+            put(k),
         );
     }
     sim.run_until(Instant::from_ticks(120_000));
 
     let logs: Vec<BTreeMap<u64, Option<u64>>> = (0..n as u32)
         .filter(|&p| ProcessId(p) != leader)
-        .map(|p| sim.node(ProcessId(p)).chosen_log())
+        .map(|p| log(&sim, ProcessId(p)).chosen_log())
         .collect();
     check_log_consistency(&logs).unwrap();
-    let stream: Vec<u64> = sim.node(new_leader).committed_commands().cloned().collect();
+    let stream: Vec<u64> = log(&sim, new_leader)
+        .committed_commands()
+        .cloned()
+        .collect();
     // All pre-crash commits survive, in order, and the new ones follow
     // (no-op fillers are skipped by committed_commands).
     assert_eq!(stream, vec![0, 1, 2, 3, 4, 5, 6, 7]);
@@ -285,8 +325,8 @@ fn steady_state_costs_are_linear_per_decision() {
     let mut sim = SimBuilder::new(n)
         .seed(41)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .classify(consensus::classify_rsm_msg)
-        .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+        .classify(classify_shard_msg)
+        .build_with(|env| log_node(env, ConsensusParams::default()));
     sim.run_until(Instant::from_ticks(10_000));
     let prepares_before = sim
         .stats()
@@ -298,7 +338,7 @@ fn steady_state_costs_are_linear_per_decision() {
 
     let commands = 50u64;
     for k in 0..commands {
-        sim.schedule_request(Instant::from_ticks(10_001 + 100 * k), ProcessId(0), k);
+        sim.schedule_request(Instant::from_ticks(10_001 + 100 * k), ProcessId(0), put(k));
     }
     sim.run_until(Instant::from_ticks(10_000 + 100 * commands + 5_000));
 
@@ -321,7 +361,7 @@ fn steady_state_costs_are_linear_per_decision() {
         per_command <= (4 * (n - 1)) as f64 + 2.0,
         "steady-state cost too high: {per_command:.1} msgs/cmd"
     );
-    assert_eq!(sim.node(ProcessId(0)).committed_len(), commands);
+    assert_eq!(log(&sim, ProcessId(0)).committed_len(), commands);
 }
 
 #[test]
@@ -335,30 +375,26 @@ fn back_to_back_commands_cost_two_messages_per_peer_and_one_write_per_node() {
     // within the +1.
     let n = 5;
     let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+    let omegas: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
     let mut sim = SimBuilder::new(n)
         .seed(43)
         .topology(Topology::all_timely(n, Duration::from_ticks(1)))
-        .classify(consensus::classify_rsm_msg)
+        .classify(classify_shard_msg)
         .build_with(|env| {
-            ReplicatedLog::<u64>::with_storage(
-                env,
-                ConsensusParams::default(),
-                stores[env.id().as_usize()].clone(),
-            )
-            .expect("fresh in-memory store")
+            let p = env.id().as_usize();
+            durable_node(env, ConsensusParams::default(), &stores[p], &omegas[p])
         });
     sim.run_until(Instant::from_ticks(10_000));
     let commands = 400u64;
     for k in 0..commands {
-        sim.schedule_request(Instant::from_ticks(10_001 + k), ProcessId(0), k);
+        sim.schedule_request(Instant::from_ticks(10_001 + k), ProcessId(0), put(k));
     }
     // Measure a window of the stream, past its ramp-up and before its tail:
     // one command enters per tick.
     let (from, to) = (10_100, 10_300);
-    let kind = |sim: &Simulator<ReplicatedLog<u64>>, k: &str| {
-        sim.stats().kind_counts().get(k).copied().unwrap_or(0)
-    };
-    let counts = |sim: &Simulator<ReplicatedLog<u64>>| {
+    let kind =
+        |sim: &Simulator<Node>, k: &str| sim.stats().kind_counts().get(k).copied().unwrap_or(0);
+    let counts = |sim: &Simulator<Node>| {
         (
             sim.stats().total_sent() - kind(sim, "ALIVE"),
             kind(sim, "DECIDE") + kind(sim, "DECIDE_ACK"),
@@ -386,7 +422,7 @@ fn back_to_back_commands_cost_two_messages_per_peer_and_one_write_per_node() {
     // The stream's tail flushes, and every replica converges.
     sim.run_until(Instant::from_ticks(20_000));
     for p in 0..n as u32 {
-        assert_eq!(sim.node(ProcessId(p)).committed_len(), commands, "p{p}");
+        assert_eq!(log(&sim, ProcessId(p)).committed_len(), commands, "p{p}");
     }
 }
 
@@ -399,21 +435,18 @@ fn followers_votes_choose_a_slot_the_crashed_leader_never_voted_for() {
     // converge to the same log without emitting any slot twice.
     let n = 5;
     let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+    let omegas: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
     let mut sim = SimBuilder::new(n)
         .seed(47)
         .topology(Topology::all_timely(n, Duration::from_ticks(5)))
         .build_with(|env| {
-            ReplicatedLog::<u64>::with_storage(
-                env,
-                ConsensusParams::default(),
-                stores[env.id().as_usize()].clone(),
-            )
-            .expect("fresh in-memory store")
+            let p = env.id().as_usize();
+            durable_node(env, ConsensusParams::default(), &stores[p], &omegas[p])
         });
     let p0 = ProcessId(0);
-    sim.schedule_request(Instant::from_ticks(10_000), p0, 1);
+    sim.schedule_request(Instant::from_ticks(10_000), p0, put(1));
     sim.run_until(Instant::from_ticks(10_500));
-    assert_eq!(sim.node(p0).committed_len(), 1, "p0 leads");
+    assert_eq!(log(&sim, p0).committed_len(), 1, "p0 leads");
     let accepted_at_p0 = || {
         stores[0]
             .load_records::<RsmRecord<u64>>()
@@ -422,30 +455,32 @@ fn followers_votes_choose_a_slot_the_crashed_leader_never_voted_for() {
             .filter(|r| matches!(r, RsmRecord::Accepted { slot: 1, .. }))
             .count()
     };
-    sim.schedule_request(Instant::from_ticks(10_501), p0, 42);
+    sim.schedule_request(Instant::from_ticks(10_501), p0, put(42));
     sim.run_until(Instant::from_ticks(10_501));
-    assert_eq!(sim.node(p0).inflight_len(), 1, "the Accept left");
+    assert_eq!(log(&sim, p0).inflight_len(), 1, "the Accept left");
     assert_eq!(accepted_at_p0(), 0, "p0 has not voted");
     sim.kill(p0);
 
     sim.run_until(Instant::from_ticks(60_000));
     let leader = (1..n as u32)
         .map(ProcessId)
-        .find(|&p| sim.node(p).is_established_leader())
+        .find(|&p| log(&sim, p).is_established_leader())
         .expect("a survivor leads");
     assert_eq!(
-        sim.node(leader).chosen(1),
+        log(&sim, leader).chosen(1),
         Some(&Entry::Cmd(42)),
         "the new leader recovers the followers' choice"
     );
 
     let env = Env::new(p0, n);
-    let recovered =
-        ReplicatedLog::with_storage(&env, ConsensusParams::default(), stores[0].clone())
-            .expect("recover p0 from its WAL");
-    assert_eq!(recovered.chosen(1), None, "p0 never learned slot 1");
+    let recovered = durable_node(&env, ConsensusParams::default(), &stores[0], &omegas[0]);
+    assert_eq!(
+        recovered.group(G).expect("group 0").chosen(1),
+        None,
+        "p0 never learned slot 1"
+    );
     sim.restart(p0, recovered);
-    sim.schedule_request(Instant::from_ticks(60_001), leader, 43);
+    sim.schedule_request(Instant::from_ticks(60_001), leader, put(43));
     sim.run_until(Instant::from_ticks(120_000));
     assert_eq!(
         accepted_at_p0(),
@@ -454,12 +489,11 @@ fn followers_votes_choose_a_slot_the_crashed_leader_never_voted_for() {
     );
 
     let logs: Vec<BTreeMap<u64, Option<u64>>> = (0..n as u32)
-        .map(|p| sim.node(ProcessId(p)).chosen_log())
+        .map(|p| log(&sim, ProcessId(p)).chosen_log())
         .collect();
     check_log_consistency(&logs).unwrap();
     for p in 0..n as u32 {
-        let stream: Vec<u64> = sim
-            .node(ProcessId(p))
+        let stream: Vec<u64> = log(&sim, ProcessId(p))
             .committed_commands()
             .copied()
             .collect();
@@ -471,7 +505,7 @@ fn followers_votes_choose_a_slot_the_crashed_leader_never_voted_for() {
             .outputs()
             .iter()
             .filter_map(|e| match &e.output {
-                RsmEvent::Committed { slot: s, cmd } if *s == slot => Some(DecisionRecord {
+                ShardEvent::Committed { slot: s, cmd, .. } if *s == slot => Some(DecisionRecord {
                     at: e.at,
                     process: e.process,
                     value: *cmd,
@@ -482,4 +516,180 @@ fn followers_votes_choose_a_slot_the_crashed_leader_never_voted_for() {
         check_integrity(&commits).unwrap();
         assert_eq!(commits.len(), n, "slot {slot} commits once everywhere");
     }
+}
+
+/// Per-kind message counts and a hash of the decided sequence — every
+/// `Committed` output in emission order, then every replica's chosen
+/// entries.
+fn fingerprint(sim: &Simulator<Node>) -> (Vec<(&'static str, u64)>, u64) {
+    let kinds = sim
+        .stats()
+        .kind_counts()
+        .iter()
+        .map(|(k, v)| (*k, *v))
+        .collect();
+    let mut lines = String::new();
+    for e in sim.outputs() {
+        if let ShardEvent::Committed { slot, cmd, .. } = &e.output {
+            let (at, p) = (e.at.ticks(), e.process.0);
+            lines.push_str(&format!("{at}:{p}:{slot}:{cmd:?}\n"));
+        }
+    }
+    for p in 0..sim.n() as u32 {
+        lines.push_str(&format!("{:?}\n", log(sim, ProcessId(p)).chosen_entries()));
+    }
+    (kinds, fnv1a64(lines.as_bytes()))
+}
+
+#[test]
+fn one_group_node_replays_the_embedded_omega_log_message_for_message() {
+    // Equivalence oracle: the expected counts and hashes were recorded
+    // from the replicated log with its own embedded Ω, which a node with
+    // one Ω and one group replaced. Same seeds, same topologies, same
+    // effect order — so the same messages and the same decided sequence.
+    let check = |name: &str, sim: &Simulator<Node>, kinds: &[(&str, u64)], hash: u64| {
+        let (got_kinds, got_hash) = fingerprint(sim);
+        assert_eq!(got_kinds, kinds, "{name}: per-kind message counts");
+        assert_eq!(got_hash, hash, "{name}: decided-sequence hash");
+    };
+
+    // n = 3, no loss.
+    let n = 3;
+    let mut b = SimBuilder::new(n)
+        .seed(1)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .classify(classify_shard_msg);
+    for k in 0..30u64 {
+        b = b.request_at(Instant::from_ticks(2_000 + 50 * k), ProcessId(0), put(k));
+    }
+    let mut sim = b.build_with(|env| log_node(env, ConsensusParams::default()));
+    sim.run_until(Instant::from_ticks(10_000));
+    check(
+        "n = 3, no loss",
+        &sim,
+        &[
+            ("ACCEPT", 76),
+            ("ACCEPTED", 76),
+            ("ALIVE", 2000),
+            ("DECIDE", 60),
+            ("DECIDE_ACK", 60),
+            ("PREPARE", 2),
+            ("PROMISE", 2),
+        ],
+        0x00fe_10c3_fed8_fc14,
+    );
+
+    // n = 5, 20% loss on every non-source link.
+    let n = 5;
+    let topo = Topology::system_s(
+        n,
+        ProcessId(0),
+        SystemSParams {
+            mesh_loss: 0.2,
+            ..SystemSParams::default()
+        },
+    );
+    let mut b = SimBuilder::new(n)
+        .seed(7)
+        .topology(topo)
+        .classify(classify_shard_msg);
+    for k in 0..30u64 {
+        b = b.request_at(Instant::from_ticks(5_000 + 300 * k), ProcessId(0), put(k));
+    }
+    let mut sim = b.build_with(|env| log_node(env, ConsensusParams::default()));
+    sim.run_until(Instant::from_ticks(60_000));
+    check(
+        "n = 5, 20% loss",
+        &sim,
+        &[
+            ("ACCEPT", 180),
+            ("ACCEPTED", 180),
+            ("ACCUSE", 28),
+            ("ALIVE", 23960),
+            ("DECIDE", 151),
+            ("DECIDE_ACK", 151),
+            ("NACK", 3),
+            ("PREPARE", 36),
+            ("PROMISE", 25),
+        ],
+        0x4503_31d6_09e2_e7a4,
+    );
+
+    // Batching and pipelining at (8, 4): four requests per tick.
+    let n = 3;
+    let batched = ConsensusParams {
+        batch: BatchParams {
+            max_batch: 8,
+            pipeline_depth: 4,
+        },
+        ..ConsensusParams::default()
+    };
+    let mut b = SimBuilder::new(n)
+        .seed(3)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .classify(classify_shard_msg);
+    for k in 0..96u64 {
+        b = b.request_at(Instant::from_ticks(2_000 + k / 4), ProcessId(0), put(k));
+    }
+    let mut sim = b.build_with(|env| log_node(env, batched));
+    sim.run_until(Instant::from_ticks(10_000));
+    check(
+        "batch (8, 4)",
+        &sim,
+        &[
+            ("ACCEPT", 58),
+            ("ACCEPTED", 58),
+            ("ALIVE", 2000),
+            ("DECIDE", 8),
+            ("DECIDE_ACK", 8),
+            ("PREPARE", 2),
+            ("PROMISE", 2),
+        ],
+        0xb60a_dbb8_1b45_fc01,
+    );
+
+    // The leader is killed, and restarts from its WAL and Ω segments.
+    let n = 3;
+    let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+    let omegas: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+    let mut sim = SimBuilder::new(n)
+        .seed(5)
+        .topology(Topology::all_timely(n, Duration::from_ticks(2)))
+        .classify(classify_shard_msg)
+        .build_with(|env| {
+            let p = env.id().as_usize();
+            durable_node(env, ConsensusParams::default(), &stores[p], &omegas[p])
+        });
+    for k in 0..10u64 {
+        sim.schedule_request(Instant::from_ticks(2_000 + 50 * k), ProcessId(0), put(k));
+    }
+    sim.run_until(Instant::from_ticks(3_000));
+    sim.kill(ProcessId(0));
+    for k in 10..20u64 {
+        sim.schedule_request(Instant::from_ticks(8_000 + 50 * k), ProcessId(1), put(k));
+    }
+    sim.run_until(Instant::from_ticks(12_000));
+    let env = Env::new(ProcessId(0), n);
+    let restarted = durable_node(&env, ConsensusParams::default(), &stores[0], &omegas[0]);
+    sim.restart(ProcessId(0), restarted);
+    for k in 20..30u64 {
+        sim.schedule_request(Instant::from_ticks(14_000 + 50 * k), ProcessId(1), put(k));
+    }
+    sim.run_until(Instant::from_ticks(30_000));
+    check(
+        "leader kill and restart from storage",
+        &sim,
+        &[
+            ("ACCEPT", 76),
+            ("ACCEPTED", 64),
+            ("ACCUSE", 2),
+            ("ALIVE", 5994),
+            ("CATCH_UP", 2),
+            ("DECIDE", 893),
+            ("DECIDE_ACK", 80),
+            ("PREPARE", 4),
+            ("PROMISE", 3),
+        ],
+        0x3be3_0757_d64c_d4a7,
+    );
 }

@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
-use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardRequest};
+use consensus::{Consensus, ConsensusEvent, ConsensusParams, ShardedNode};
 use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use proptest::prelude::*;
@@ -152,15 +153,17 @@ proptest! {
                 builder = builder.request_at(
                     Instant::from_ticks(8_000 + 300 * k),
                     ProcessId(p),
-                    k,
+                    ShardRequest { shard: ShardId(0), cmd: k },
                 );
             }
         }
-        let mut sim = builder
-            .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+        let mut sim = builder.build_with(|env| {
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+            ShardedNode::<u64>::new(env, ConsensusParams::default(), placement)
+        });
         sim.run_until(Instant::from_ticks(8_000 + 300 * cmds as u64 + 80_000));
         let logs: Vec<BTreeMap<u64, Option<u64>>> = (0..n as u32)
-            .map(|p| sim.node(ProcessId(p)).chosen_log())
+            .map(|p| sim.node(ProcessId(p)).group(ShardId(0)).expect("group 0").chosen_log())
             .collect();
         if let Err(e) = check_log_consistency(&logs) {
             prop_assert!(false, "{e} (seed={seed}, loss={mesh_loss}, cmds={cmds})");

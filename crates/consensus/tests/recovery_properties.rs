@@ -2,26 +2,63 @@
 //! the state machine (replay equivalence) and the protocol (an acceptor's
 //! promises survive crashes even when the log behind them was compacted).
 
-use consensus::{Ballot, ConsensusParams, Entry, ReplicatedLog, RsmEvent, RsmMsg};
+use std::collections::BTreeMap;
+
+use consensus::shard::{PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg};
+use consensus::{Ballot, ConsensusParams, Entry, NodeStorage, ReplicatedLog, RsmMsg, ShardedNode};
+use lls_obs::NoopProbe;
 use lls_primitives::wire::Wire;
 use lls_primitives::{Ctx, Effects, Env, Instant, ProcessId, Sm, SnapshotHandle, StorageHandle};
 use proptest::prelude::*;
 
-type Log = ReplicatedLog<u64>;
-type Fx = Effects<RsmMsg<u64>, RsmEvent<u64>>;
+/// A one-group node: the replicated log under test is its group 0.
+type Node = ShardedNode<u64>;
+type Fx = Effects<ShardMsg<u64>, ShardEvent<u64>>;
+
+const G: ShardId = ShardId(0);
 
 fn b(round: u64, leader: u32) -> Ballot {
     Ballot::new(round, ProcessId(leader))
 }
 
-fn deliver(env: &Env, sm: &mut Log, from: u32, msg: RsmMsg<u64>) -> Fx {
+/// Opens a one-group node over `wal` (and `snaps`, when given), with its
+/// Ω counter in `omega`.
+fn open(
+    env: &Env,
+    wal: &StorageHandle,
+    snaps: Option<&SnapshotHandle>,
+    omega: &StorageHandle,
+) -> Node {
+    let storage = NodeStorage {
+        wals: BTreeMap::from([(G, wal.clone())]),
+        snapshots: snaps
+            .map(|s| BTreeMap::from([(G, s.clone())]))
+            .unwrap_or_default(),
+        omega: Some(omega.clone()),
+    };
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedNode::open(
+        env,
+        ConsensusParams::default(),
+        placement,
+        &storage,
+        NoopProbe,
+    )
+    .expect("in-memory stores")
+}
+
+fn log(sm: &Node) -> &ReplicatedLog<u64> {
+    sm.group(G).expect("group 0 is attached")
+}
+
+fn deliver(env: &Env, sm: &mut Node, from: u32, msg: RsmMsg<u64>) -> Fx {
     let mut fx = Effects::new();
     let mut ctx = Ctx::new(env, Instant::ZERO, &mut fx);
-    sm.on_message(&mut ctx, ProcessId(from), msg);
+    sm.on_message(&mut ctx, ProcessId(from), ShardMsg::Rsm { shard: G, msg });
     fx
 }
 
-fn decide(env: &Env, sm: &mut Log, slot: u64, value: u64) {
+fn decide(env: &Env, sm: &mut Node, slot: u64, value: u64) {
     deliver(
         env,
         sm,
@@ -36,7 +73,7 @@ fn decide(env: &Env, sm: &mut Log, slot: u64, value: u64) {
 /// The full materialized command sequence of a recovered log: the commands
 /// summarized by its snapshot (we encode exactly the compacted prefix into
 /// the snapshot body) followed by the replayed WAL tail.
-fn materialized(sm: &Log) -> Vec<u64> {
+fn materialized(sm: &ReplicatedLog<u64>) -> Vec<u64> {
     let mut all = match sm.recovered_snapshot() {
         Some(snap) => Vec::<u64>::from_bytes(&snap.data).expect("snapshot body decodes"),
         None => Vec::new(),
@@ -62,14 +99,11 @@ proptest! {
         let store_a = StorageHandle::in_memory();
         let snaps_a = SnapshotHandle::in_memory();
         let store_b = StorageHandle::in_memory();
+        let (omega_a, omega_b) = (StorageHandle::in_memory(), StorageHandle::in_memory());
         let kill = kill_after.min(decides);
         {
-            let mut a: Log = ReplicatedLog::with_storage_and_snapshots(
-                &env, ConsensusParams::default(), store_a.clone(), snaps_a.clone(),
-            ).unwrap();
-            let mut full: Log = ReplicatedLog::with_storage(
-                &env, ConsensusParams::default(), store_b.clone(),
-            ).unwrap();
+            let mut a = open(&env, &store_a, Some(&snaps_a), &omega_a);
+            let mut full = open(&env, &store_b, None, &omega_b);
             // The "application state": every command applied so far, in
             // order — what a real state machine materializes and what the
             // snapshot body must therefore summarize (the log itself no
@@ -80,21 +114,18 @@ proptest! {
                 decide(&env, &mut full, slot, slot * 10 + 1);
                 applied.push(slot * 10 + 1);
                 if (slot + 1) % cadence == 0 {
-                    let watermark = a.committed_len();
+                    let watermark = log(&a).committed_len();
                     let body = applied[..watermark as usize].to_vec();
-                    a.compact(watermark, body.to_bytes()).unwrap();
+                    a.compact_shard(G, watermark, body.to_bytes()).unwrap();
                 }
             }
             // Crash both at the kill point (drop without further writes).
         }
-        let a2: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env, ConsensusParams::default(), store_a, snaps_a,
-        ).unwrap();
-        let full2: Log = ReplicatedLog::with_storage(
-            &env, ConsensusParams::default(), store_b,
-        ).unwrap();
+        let a2 = open(&env, &store_a, Some(&snaps_a), &omega_a);
+        let full2 = open(&env, &store_b, None, &omega_b);
+        let (a2, full2) = (log(&a2), log(&full2));
         let from_full: Vec<u64> = full2.committed_commands().copied().collect();
-        prop_assert_eq!(materialized(&a2), from_full, "replay equivalence");
+        prop_assert_eq!(materialized(a2), from_full, "replay equivalence");
         prop_assert_eq!(a2.committed_len(), full2.committed_len());
         prop_assert!(
             a2.wal_stats().live_bytes <= full2.wal_stats().live_bytes,
@@ -117,11 +148,10 @@ proptest! {
         let env = Env::new(ProcessId(1), 3);
         let store = StorageHandle::in_memory();
         let snaps = SnapshotHandle::in_memory();
+        let omega = StorageHandle::in_memory();
         let promised = b(promised_round, 0);
         {
-            let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-                &env, ConsensusParams::default(), store.clone(), snaps.clone(),
-            ).unwrap();
+            let mut sm = open(&env, &store, Some(&snaps), &omega);
             for slot in 0..prefix {
                 decide(&env, &mut sm, slot, slot);
             }
@@ -130,29 +160,27 @@ proptest! {
             deliver(&env, &mut sm, 0, RsmMsg::Accept {
                 b: promised, slot: prefix + 1, entry: Entry::Cmd(777), decided: vec![],
             });
-            sm.compact(prefix, vec![]).unwrap();
+            sm.compact_shard(G, prefix, vec![]).unwrap();
             // Crash.
         }
-        let mut sm: Log = ReplicatedLog::with_storage_and_snapshots(
-            &env, ConsensusParams::default(), store, snaps,
-        ).unwrap();
-        prop_assert_eq!(sm.watermark(), prefix);
+        let mut sm = open(&env, &store, Some(&snaps), &omega);
+        prop_assert_eq!(log(&sm).watermark(), prefix);
 
         let stale = b(stale_round, 2);
         if stale < promised {
             let fx = deliver(&env, &mut sm, 2, RsmMsg::Prepare { b: stale, from_slot: 0 });
             prop_assert!(
-                !fx.sends.iter().any(|s| matches!(s.msg, RsmMsg::Promise { .. })),
+                !fx.sends.iter().any(|s| matches!(s.msg, ShardMsg::Rsm { msg: RsmMsg::Promise { .. }, .. })),
                 "a stale Prepare must not win a promise after recovery"
             );
             let fx = deliver(&env, &mut sm, 2, RsmMsg::Accept {
                 b: stale, slot: prefix + 2, entry: Entry::Cmd(666), decided: vec![],
             });
             prop_assert!(
-                fx.sends.iter().any(|s| matches!(s.msg, RsmMsg::Nack { .. })),
+                fx.sends.iter().any(|s| matches!(s.msg, ShardMsg::Rsm { msg: RsmMsg::Nack { .. }, .. })),
                 "a stale Accept must be nacked after recovery"
             );
-            prop_assert_eq!(sm.chosen(prefix + 2), None);
+            prop_assert_eq!(log(&sm).chosen(prefix + 2), None);
         }
 
         // A genuinely higher ballot learns everything live: the compaction
@@ -160,7 +188,9 @@ proptest! {
         let higher = b(promised_round + stale_round + 1, 2);
         let fx = deliver(&env, &mut sm, 2, RsmMsg::Prepare { b: higher, from_slot: 0 });
         let (low_slot, accepted) = fx.sends.iter().find_map(|s| match &s.msg {
-            RsmMsg::Promise { low_slot, accepted, .. } => Some((*low_slot, accepted.clone())),
+            ShardMsg::Rsm { msg: RsmMsg::Promise { low_slot, accepted, .. }, .. } => {
+                Some((*low_slot, accepted.clone()))
+            }
             _ => None,
         }).expect("higher ballot wins a promise");
         prop_assert_eq!(low_slot, prefix, "low_slot reports the watermark");

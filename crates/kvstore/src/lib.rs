@@ -4,19 +4,23 @@
 //!
 //! Architecture (bottom to top):
 //!
-//! 1. [`omega`]'s communication-efficient Ω elects and maintains the leader;
-//! 2. [`consensus`]'s [`ReplicatedLog`](consensus::ReplicatedLog) orders
-//!    [`Tagged`] commands into slots with Multi-Paxos-style steady state;
-//! 3. this crate's [`KvState`] applies committed commands deterministically,
-//!    with **exactly-once** semantics per client session: every command
-//!    carries a `(client, seq)` tag, and a command whose tag was already
-//!    applied is skipped (clients retry safely — e.g. after a leader change
-//!    — without double-applying).
+//! 1. [`omega`]'s communication-efficient Ω elects and maintains the leader,
+//!    one detector per node;
+//! 2. [`consensus`]'s [`ShardedNode`](consensus::ShardedNode) orders
+//!    [`Tagged`] commands into the slots of S replicated-log groups with a
+//!    Multi-Paxos-style steady state (S = 1 is the unsharded log);
+//! 3. this crate's [`ShardedKvNode`] routes each command to the group that
+//!    owns its key and applies committed commands to that shard's
+//!    [`KvState`] deterministically, with **exactly-once** semantics per
+//!    client session: every command carries a `(client, seq)` tag, and a
+//!    command whose tag was already applied is skipped (clients retry
+//!    safely — e.g. after a leader change — without double-applying).
 //!
 //! # Example
 //!
 //! ```
-//! use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, Tagged};
+//! use consensus::shard::{PlacementManager, PlacementMap, ShardId};
+//! use kvstore::{ClientId, KvCmd, ShardedKvNode, Tagged};
 //! use consensus::ConsensusParams;
 //! use lls_primitives::{Duration, Instant, ProcessId};
 //! use netsim::{SimBuilder, Topology};
@@ -32,13 +36,16 @@
 //!     .request_at(Instant::from_ticks(500), ProcessId(0), cmd(1, "k", "v1"))
 //!     .request_at(Instant::from_ticks(600), ProcessId(0), cmd(1, "k", "v1")) // dup!
 //!     .request_at(Instant::from_ticks(700), ProcessId(0), cmd(2, "k", "v2"))
-//!     .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+//!     .build_with(|env| {
+//!         let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+//!         ShardedKvNode::new(env, ConsensusParams::default(), placement)
+//!     });
 //! sim.run_until(Instant::from_ticks(10_000));
 //!
 //! // All replicas hold the same state; the duplicate was applied once.
 //! for p in 0..n as u32 {
-//!     let replica = sim.node(ProcessId(p));
-//!     assert_eq!(replica.state().get("k"), Some("v2"));
+//!     let store = sim.node(ProcessId(p)).state(ShardId(0)).unwrap();
+//!     assert_eq!(store.get("k"), Some("v2"));
 //! }
 //! ```
 
@@ -47,14 +54,12 @@
 
 mod client;
 mod command;
-mod replica;
 mod sharded;
 mod state;
 mod submit;
 
 pub use client::KvClient;
 pub use command::{ClientId, KvCmd, KvResponse, Tagged};
-pub use replica::{KvEvent, KvReplica};
 pub use sharded::{ShardedKvEvent, ShardedKvNode, ShardedSubmitQueue};
 pub use state::KvState;
-pub use submit::{Settled, SubmitQueue};
+pub use submit::Settled;

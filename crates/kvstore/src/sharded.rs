@@ -1,5 +1,5 @@
-//! The sharded key-value store: key-routed client path over S independent
-//! replicated logs, one shared Ω per node.
+//! The key-value store: key-routed client path over S independent
+//! replicated logs, one shared Ω per node. S = 1 is the unsharded store.
 //!
 //! This is the `kvstore` half of the shard plane
 //! ([`consensus::shard`](consensus::shard)): the consensus layer gives each
@@ -8,8 +8,8 @@
 //!
 //! * [`ShardedSubmitQueue`] — the client side. Commands are routed to their
 //!   shard by the placement map's stable key hash, each shard gets its own
-//!   [`SubmitQueue`] window (per-shard pipelines fill independently), and
-//!   replies settle against the shard that owns the key.
+//!   submit window (per-shard pipelines fill independently), and replies
+//!   settle against the shard that owns the key.
 //! * [`ShardedKvNode`] — the server side. One
 //!   [`ShardedNode`](consensus::ShardedNode) of tagged commands plus one
 //!   [`KvState`] **per shard**, so disjoint keys commit and apply in
@@ -31,7 +31,8 @@ use lls_primitives::{
 use serde::{Deserialize, Serialize};
 
 use consensus::shard::{
-    PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg, ShardRequest, ShardedNode,
+    NodeStorage, PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg, ShardRequest,
+    ShardedNode,
 };
 use consensus::ConsensusParams;
 use omega::CommEffOmega;
@@ -40,13 +41,19 @@ use crate::command::{ClientId, KvCmd, KvResponse, Tagged};
 use crate::state::KvState;
 use crate::submit::{Settled, SubmitQueue};
 
-/// Client-side fan-out: one windowed [`SubmitQueue`] per shard, fed by the
+/// Client-side fan-out: one windowed submit queue per shard, fed by the
 /// placement map's key router.
 ///
-/// The caller submits plain tagged commands; the queue decides which shard
-/// owns each key, releases up to a per-shard window concurrently (the whole
-/// point of sharding: S pipelines fill in parallel), and routes every reply
-/// back to the queue of the shard that owns it.
+/// The caller submits plain tagged commands as fast as they are minted; the
+/// queue decides which shard owns each key, releases up to a per-shard
+/// window concurrently (the whole point of sharding: S pipelines fill in
+/// parallel) while the rest coalesce locally, and routes every `Applied`
+/// reply — one per command, even when the replica decided them as a single
+/// batched slot — back to the queue of the shard that owns it.
+///
+/// Like [`KvClient`](crate::KvClient), the queue is transport-agnostic: it
+/// never sends anything itself. The caller delivers drained commands by
+/// whatever means the deployment uses and feeds replica events back in.
 #[derive(Debug, Clone)]
 pub struct ShardedSubmitQueue<P: Probe = NoopProbe> {
     map: PlacementMap,
@@ -80,7 +87,8 @@ impl<P: Probe> ShardedSubmitQueue<P> {
     }
 
     /// Sets the timestamp stamped on subsequent lifecycle events, on every
-    /// per-shard queue (see [`SubmitQueue::set_now`]).
+    /// per-shard queue (the queue is sans-io and has no clock of its own;
+    /// the driving harness owns time).
     pub fn set_now(&mut self, now: Instant) {
         for q in self.queues.values_mut() {
             q.set_now(now);
@@ -129,9 +137,13 @@ impl<P: Probe> ShardedSubmitQueue<P> {
         settled
     }
 
-    /// Enables automatic re-submission on every shard queue (see
-    /// [`SubmitQueue::set_retry_backoff`]); each shard's jitter stream is
-    /// decorrelated by folding the shard id into `seed`, so S queues
+    /// Enables automatic re-submission of in-flight commands on every shard
+    /// queue: after [`on_leader_change`](Self::on_leader_change), each
+    /// [`on_tick`](Self::on_tick) past the scheduled deadline re-issues
+    /// everything outstanding, with jittered exponential backoff between
+    /// rounds (base delay `base_ticks`, doubling per attempt).
+    /// `base_ticks == 0` disables (the default). Each shard's jitter stream
+    /// is decorrelated by folding the shard id into `seed`, so S queues
     /// recovering from the same leader change don't retry in lockstep.
     pub fn set_retry_backoff(&mut self, base_ticks: u64, seed: u64) {
         for (shard, q) in &mut self.queues {
@@ -139,9 +151,10 @@ impl<P: Probe> ShardedSubmitQueue<P> {
         }
     }
 
-    /// Notes a leader change on every shard queue (see
-    /// [`SubmitQueue::on_leader_change`]): all in-flight commands are
-    /// scheduled for re-submission with jittered exponential backoff.
+    /// Notes a leader change on every shard queue: all in-flight commands
+    /// are scheduled for re-submission with jittered exponential backoff
+    /// (a no-op unless [`set_retry_backoff`](Self::set_retry_backoff)
+    /// enabled retries).
     pub fn on_leader_change(&mut self) {
         for q in self.queues.values_mut() {
             q.on_leader_change();
@@ -149,8 +162,8 @@ impl<P: Probe> ShardedSubmitQueue<P> {
     }
 
     /// Advances every shard queue's retry clock by one tick and returns
-    /// the commands due for re-delivery, grouped per shard (see
-    /// [`SubmitQueue::on_tick`]).
+    /// the commands due for re-delivery (exact copies, oldest first),
+    /// grouped per shard.
     pub fn on_tick(&mut self) -> Vec<(ShardId, Vec<Tagged<KvCmd>>)> {
         self.queues
             .iter_mut()
@@ -264,46 +277,24 @@ struct PendingShardRead {
 }
 
 impl ShardedKvNode {
-    /// Creates a node hosting the shards attached in `placement`.
+    /// A volatile node hosting the shards attached in `placement`.
     ///
     /// # Panics
     ///
     /// Panics if the Ω parameters inside `params` are invalid.
     pub fn new(env: &Env, params: ConsensusParams, placement: PlacementManager) -> Self {
-        ShardedKvNode::new_with_probe(env, params, placement, NoopProbe)
+        ShardedKvNode::open(env, params, placement, &NodeStorage::default(), NoopProbe)
+            .expect("a volatile node reads no storage")
     }
 
-    /// Creates a node whose shard groups each recover from their own WAL
-    /// segment, plus a dedicated segment for the shared Ω counter.
+    /// A node whose shard groups each recover from their own WAL segment
+    /// (`stores`) and snapshot store (`snaps`; shards missing from it run
+    /// without compaction), plus a dedicated segment for the shared Ω
+    /// counter — see [`ShardedKvNode::open`].
     ///
     /// # Errors
     ///
-    /// Fails if any WAL cannot be read or a boot record cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Ω parameters are invalid or an attached shard has no
-    /// storage handle.
-    pub fn with_storage(
-        env: &Env,
-        params: ConsensusParams,
-        placement: PlacementManager,
-        stores: &BTreeMap<ShardId, StorageHandle>,
-        omega_store: StorageHandle,
-    ) -> Result<Self, StorageError> {
-        let node = ShardedNode::with_storage(env, params, placement, stores, omega_store)?;
-        ShardedKvNode::from_node(node)
-    }
-
-    /// Like [`ShardedKvNode::with_storage`], additionally attaching a
-    /// snapshot store to each shard in `snaps`: those groups recover from
-    /// their durable snapshot plus the WAL tail above its watermark, and
-    /// may be compacted ([`ShardedKvNode::set_compact_every`],
-    /// [`ShardedKvNode::compact_shard_now`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if any WAL or snapshot store cannot be read, a boot record
+    /// Fails if any WAL or snapshot store cannot be read, the Ω boot record
     /// cannot be written, or a recovered snapshot does not decode as a
     /// [`KvState`].
     ///
@@ -319,51 +310,50 @@ impl ShardedKvNode {
         snaps: &BTreeMap<ShardId, SnapshotHandle>,
         omega_store: StorageHandle,
     ) -> Result<Self, StorageError> {
-        let node = ShardedNode::with_storage_and_snapshots(
-            env,
-            params,
-            placement,
-            stores,
-            snaps,
-            omega_store,
-        )?;
-        ShardedKvNode::from_node(node)
+        let storage = NodeStorage {
+            wals: stores.clone(),
+            snapshots: snaps.clone(),
+            omega: Some(omega_store),
+        };
+        ShardedKvNode::open(env, params, placement, &storage, NoopProbe)
     }
 }
 
 impl<P: Probe> ShardedKvNode<P> {
-    /// Like [`ShardedKvNode::new`], with an observability probe threaded
-    /// down through every shard group into the shared Ω detector.
+    /// Opens a node hosting the shards attached in `placement` over
+    /// `storage` (see [`ShardedNode::open`]), with `probe` threaded down
+    /// through every shard group into the shared Ω detector. Each shard's
+    /// store is rebuilt from its group's recovered snapshot, then the
+    /// committed WAL tail above the snapshot's watermark; groups with a
+    /// snapshot store may be compacted
+    /// ([`ShardedKvNode::set_compact_every`],
+    /// [`ShardedKvNode::compact_shard_now`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails if any WAL or snapshot store cannot be read, the Ω boot record
+    /// cannot be written, or a recovered snapshot does not decode as a
+    /// [`KvState`].
     ///
     /// # Panics
     ///
-    /// Panics if the Ω parameters inside `params` are invalid.
-    pub fn new_with_probe(
+    /// Panics if the Ω parameters are invalid, or if `storage` has an Ω
+    /// segment but no WAL segment for an attached shard.
+    pub fn open(
         env: &Env,
         params: ConsensusParams,
         placement: PlacementManager,
+        storage: &NodeStorage,
         probe: P,
-    ) -> Self {
-        let node = ShardedNode::new_with_probe(env, params, placement, probe);
-        let states = node
-            .placement()
-            .attached()
-            .map(|s| (s, KvState::new()))
-            .collect();
-        ShardedKvNode {
-            node,
-            states,
-            compact_every: 0,
-            applied_since_compact: BTreeMap::new(),
-            applied_upto: BTreeMap::new(),
-            reads: BTreeMap::new(),
-            next_read_token: 0,
-        }
+    ) -> Result<Self, StorageError> {
+        let node = ShardedNode::open(env, params, placement, storage, probe)?;
+        ShardedKvNode::from_node(node)
     }
 
-    /// Wraps a recovered sharded node, rebuilding each shard's store from
-    /// its group's recovered snapshot (if any) plus a replay of the
-    /// committed prefix above the snapshot watermark.
+    /// Wraps an opened node, rebuilding each shard's store from its group's
+    /// recovered snapshot (if any) *before* replaying the committed prefix
+    /// above the snapshot watermark — the reverse order would clobber the
+    /// replayed suffix with the (older) snapshot state.
     fn from_node(node: ShardedNode<Tagged<KvCmd>, P>) -> Result<Self, StorageError> {
         let mut states = BTreeMap::new();
         let mut applied_upto = BTreeMap::new();
@@ -719,7 +709,7 @@ impl<P: Probe> Sm for ShardedKvNode<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consensus::{Ballot, RsmMsg};
+    use consensus::{Ballot, Entry, LeaseParams, RsmMsg};
     use lls_primitives::Instant;
 
     fn tag(seq: u64, cmd: KvCmd) -> Tagged<KvCmd> {
@@ -854,6 +844,189 @@ mod tests {
             node.state(ShardId(0)).unwrap().len(),
             1,
             "shard stores are disjoint"
+        );
+    }
+
+    /// One group on every node: the unsharded store.
+    fn one_shard(n: usize) -> PlacementManager {
+        PlacementManager::with_all_attached(PlacementMap::uniform(1, n))
+    }
+
+    #[test]
+    fn read_retries_reuse_the_pending_slot() {
+        // Regression: under a stable leader, a dropped ReadIndex (or its
+        // reply) left the parked read behind forever, and every client
+        // retry parked another one — unbounded growth on fair-lossy links.
+        let env = Env::new(ProcessId(1), 3);
+        let params = ConsensusParams {
+            lease: LeaseParams::enabled(),
+            ..ConsensusParams::default()
+        };
+        let mut node = ShardedKvNode::new(&env, params, one_shard(3));
+        let mut fx: Effects<_, ShardedKvEvent> = Effects::new();
+        node.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
+        fx.take();
+        for _ in 0..5 {
+            node.on_request(
+                &mut Ctx::new(&env, Instant::ZERO, &mut fx),
+                tag(1, KvCmd::read("x")),
+            );
+            fx.take();
+        }
+        assert_eq!(
+            node.pending_reads(),
+            1,
+            "retries of one read reuse its pending slot"
+        );
+        node.on_request(
+            &mut Ctx::new(&env, Instant::ZERO, &mut fx),
+            tag(2, KvCmd::read("x")),
+        );
+        fx.take();
+        assert_eq!(
+            node.pending_reads(),
+            2,
+            "distinct reads still park separately"
+        );
+    }
+
+    /// Delivers `Decide`s for `slots` of group 0, each a put of `k{slot}`.
+    fn decide_puts(env: &Env, node: &mut ShardedKvNode, slots: std::ops::Range<u64>) {
+        let mut fx: Effects<_, ShardedKvEvent> = Effects::new();
+        for slot in slots {
+            node.on_message(
+                &mut Ctx::new(env, Instant::ZERO, &mut fx),
+                ProcessId(0),
+                ShardMsg::Rsm {
+                    shard: ShardId(0),
+                    msg: RsmMsg::Decide {
+                        slot,
+                        entry: Entry::Cmd(tag(slot + 1, KvCmd::put(format!("k{slot}"), "v"))),
+                    },
+                },
+            );
+            fx.take();
+        }
+    }
+
+    #[test]
+    fn recovery_applies_the_wal_tail_on_top_of_the_snapshot() {
+        // Regression: recovery must seed the store from the snapshot and
+        // *then* replay the WAL tail above the watermark — the reverse
+        // order clobbers the suffix and the store silently reverts to the
+        // snapshot (here: losing k4..k6 and the session high-water mark).
+        let env = Env::new(ProcessId(2), 3);
+        let stores = BTreeMap::from([(ShardId(0), StorageHandle::in_memory())]);
+        let snaps = BTreeMap::from([(ShardId(0), SnapshotHandle::in_memory())]);
+        let omega = StorageHandle::in_memory();
+        let open = || {
+            ShardedKvNode::with_storage_and_snapshots(
+                &env,
+                ConsensusParams::default(),
+                one_shard(3),
+                &stores,
+                &snaps,
+                omega.clone(),
+            )
+            .expect("in-memory stores")
+        };
+        {
+            let mut node = open();
+            decide_puts(&env, &mut node, 0..4);
+            assert!(
+                node.compact_shard_now(ShardId(0)).unwrap(),
+                "snapshot at watermark 4"
+            );
+            decide_puts(&env, &mut node, 4..7);
+            assert_eq!(node.state(ShardId(0)).unwrap().len(), 7);
+        }
+        let recovered = open();
+        assert_eq!(recovered.node().group(ShardId(0)).unwrap().watermark(), 4);
+        let store = recovered.state(ShardId(0)).unwrap();
+        assert_eq!(
+            store.len(),
+            7,
+            "the WAL tail above the snapshot watermark survives recovery"
+        );
+        assert_eq!(store.get("k6"), Some("v"));
+        assert_eq!(
+            store.session_seq(ClientId(1)),
+            Some(7),
+            "session dedup state covers the replayed tail"
+        );
+    }
+
+    #[test]
+    fn a_restart_asks_every_group_to_catch_up_even_with_an_empty_wal() {
+        // Group 0 never writes a record, so its WAL segment is empty on
+        // restart. The node's Ω segment is not: the node is restarting,
+        // and group 0 must ask where its log has moved like group 1 does.
+        let env = Env::new(ProcessId(1), 3);
+        let storage = NodeStorage {
+            wals: [ShardId(0), ShardId(1)]
+                .into_iter()
+                .map(|s| (s, StorageHandle::in_memory()))
+                .collect(),
+            omega: Some(StorageHandle::in_memory()),
+            ..NodeStorage::default()
+        };
+        let open = || {
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(2, 3));
+            ShardedKvNode::open(
+                &env,
+                ConsensusParams::default(),
+                placement,
+                &storage,
+                NoopProbe,
+            )
+            .expect("in-memory stores")
+        };
+        let catch_ups = |node: &mut ShardedKvNode| {
+            let mut fx: Effects<_, ShardedKvEvent> = Effects::new();
+            node.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
+            fx.take()
+                .sends
+                .into_iter()
+                .filter_map(|s| match s.msg {
+                    ShardMsg::Rsm {
+                        shard,
+                        msg: RsmMsg::CatchUp { .. },
+                    } => Some(shard),
+                    _ => None,
+                })
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        {
+            let mut first = open();
+            assert!(catch_ups(&mut first).is_empty(), "a first boot is quiet");
+            let mut fx: Effects<_, ShardedKvEvent> = Effects::new();
+            first.on_message(
+                &mut Ctx::new(&env, Instant::ZERO, &mut fx),
+                ProcessId(0),
+                ShardMsg::Rsm {
+                    shard: ShardId(1),
+                    msg: RsmMsg::Decide {
+                        slot: 0,
+                        entry: Entry::Cmd(tag(1, KvCmd::put("x", "1"))),
+                    },
+                },
+            );
+        }
+        let mut restarted = open();
+        assert_eq!(
+            restarted
+                .node()
+                .group(ShardId(0))
+                .unwrap()
+                .wal_stats()
+                .live_bytes,
+            0,
+            "group 0's segment is empty"
+        );
+        assert_eq!(
+            catch_ups(&mut restarted),
+            [ShardId(0), ShardId(1)].into_iter().collect(),
+            "both groups catch up after a restart"
         );
     }
 }

@@ -1,4 +1,5 @@
-//! Client-side submit queue for the batched throughput path.
+//! Client-side submit queue for the batched throughput path: one shard's
+//! window inside [`ShardedSubmitQueue`](crate::ShardedSubmitQueue).
 //!
 //! With pipelining and batching enabled in the log
 //! ([`BatchParams`](consensus::BatchParams)), a client that fires one
@@ -7,37 +8,34 @@
 //! [`submit`](SubmitQueue::submit) commands as fast as they are minted, the
 //! queue releases up to a `window` of them to the transport
 //! ([`drain`](SubmitQueue::drain)) while the rest coalesce locally, and
-//! every [`KvEvent::Applied`](crate::KvEvent) coming back — one per command,
-//! even when the replica decided them as a single batched slot — is routed
-//! to its originating command by `(client, seq)` tag
-//! ([`settle`](SubmitQueue::settle)).
-//!
-//! Like [`KvClient`](crate::KvClient), the queue is transport-agnostic: it
-//! never sends anything itself. The caller delivers drained commands by
-//! whatever means the deployment uses (`Simulator::schedule_request`,
-//! `Cluster::request`, a socket) and feeds replica events back in. After a
-//! leader change or timeout, [`outstanding`](SubmitQueue::outstanding)
-//! re-issues exact copies of everything released but unsettled — safe to
-//! resubmit because the replicas' session tables suppress duplicates.
+//! every `Applied` event coming back — one per command, even when the
+//! replica decided them as a single batched slot — is routed to its
+//! originating command by `(client, seq)` tag
+//! ([`settle`](SubmitQueue::settle)). After a leader change or timeout,
+//! [`outstanding`](SubmitQueue::outstanding) re-issues exact copies of
+//! everything released but unsettled — safe to resubmit because the
+//! replicas' session tables suppress duplicates.
 //!
 //! # Example
 //!
 //! ```
-//! use kvstore::{ClientId, KvClient, KvCmd, KvResponse, SubmitQueue};
+//! use consensus::shard::PlacementMap;
+//! use kvstore::{ClientId, KvClient, KvCmd, KvResponse, ShardedSubmitQueue};
 //!
 //! let mut client = KvClient::new(ClientId(1));
-//! let mut queue = SubmitQueue::new(2); // at most 2 released at once
+//! // One shard, at most 2 commands released at once.
+//! let mut queue = ShardedSubmitQueue::new(PlacementMap::uniform(1, 3), 2);
 //! for i in 0..5 {
 //!     queue.submit(client.issue(KvCmd::put(format!("k{i}"), "v")));
 //! }
-//! let burst = queue.drain(); // -> transport
-//! assert_eq!(burst.len(), 2);
+//! let burst = queue.drain(); // -> transport, per shard
+//! assert_eq!(burst[0].1.len(), 2);
 //! assert_eq!(queue.queued_len(), 3); // coalescing locally
 //!
 //! // A decided batch comes back as per-command Applied events:
 //! let done = queue.settle(ClientId(1), 1, &KvResponse::Applied { previous: None });
 //! assert!(done.is_some());
-//! assert_eq!(queue.drain().len(), 1); // freed window refills
+//! assert_eq!(queue.drain()[0].1.len(), 1); // freed window refills
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
@@ -62,8 +60,8 @@ pub struct Settled {
 /// released to the transport by [`SubmitQueue::drain`], and each decided
 /// command is matched back to its originator by [`SubmitQueue::settle`] —
 /// even when many commands ride in one batched slot.
-#[derive(Debug, Clone, Default)]
-pub struct SubmitQueue<P: Probe = NoopProbe> {
+#[derive(Debug, Clone)]
+pub(crate) struct SubmitQueue<P: Probe = NoopProbe> {
     window: usize,
     queued: VecDeque<Tagged<KvCmd>>,
     released: BTreeMap<(ClientId, u64), Tagged<KvCmd>>,
@@ -91,6 +89,7 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+#[cfg(test)]
 impl SubmitQueue {
     /// Creates a queue that keeps at most `window` commands released to the
     /// transport at once (0 is treated as 1: a window that can never open
@@ -101,7 +100,9 @@ impl SubmitQueue {
 }
 
 impl<P: Probe> SubmitQueue<P> {
-    /// Like [`SubmitQueue::new`], with a lifecycle probe: the queue emits
+    /// A queue that keeps at most `window` commands released to the
+    /// transport at once (0 is treated as 1: a window that can never open
+    /// would deadlock the session), with a lifecycle probe: the queue emits
     /// [`CmdStage::Enqueue`] when a command is submitted and
     /// [`CmdStage::Reply`] when its response settles, attributed to `node`
     /// (the process the client session is co-located with). Advance the
@@ -210,6 +211,7 @@ impl<P: Probe> SubmitQueue<P> {
 
     /// The retry round currently being waited out (0 before the first
     /// re-submission).
+    #[cfg(test)]
     pub fn retry_attempt(&self) -> u32 {
         self.attempt
     }

@@ -3,10 +3,22 @@
 
 use std::collections::BTreeMap;
 
+use consensus::shard::{PlacementManager, PlacementMap, ShardId};
 use consensus::ConsensusParams;
-use kvstore::{ClientId, KvClient, KvCmd, KvEvent, KvReplica, KvResponse, SubmitQueue, Tagged};
-use lls_primitives::{Duration, Instant, ProcessId};
+use kvstore::{
+    ClientId, KvClient, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, ShardedSubmitQueue,
+    Tagged,
+};
+use lls_primitives::{Duration, Env, Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
+
+/// The store runs unsharded here: one group per replica.
+const SHARD: ShardId = ShardId(0);
+
+fn replica(env: &Env, params: ConsensusParams) -> ShardedKvNode {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedKvNode::new(env, params, placement)
+}
 
 fn tag(client: u64, seq: u64, cmd: KvCmd) -> Tagged<KvCmd> {
     Tagged {
@@ -23,7 +35,7 @@ fn replicas_converge_to_identical_stores_under_loss() {
     let mut sim = SimBuilder::new(n)
         .seed(3)
         .topology(topo)
-        .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+        .build_with(|env| replica(env, ConsensusParams::default()));
     // Find the stable leader, then run a workload against it.
     sim.run_until(Instant::from_ticks(15_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -45,7 +57,8 @@ fn replicas_converge_to_identical_stores_under_loss() {
 
     let reference: Vec<(String, String)> = sim
         .node(ProcessId(0))
-        .state()
+        .state(SHARD)
+        .unwrap()
         .iter()
         .map(|(k, v)| (k.to_owned(), v.to_owned()))
         .collect();
@@ -53,7 +66,8 @@ fn replicas_converge_to_identical_stores_under_loss() {
     for p in 1..n as u32 {
         let store: Vec<(String, String)> = sim
             .node(ProcessId(p))
-            .state()
+            .state(SHARD)
+            .unwrap()
             .iter()
             .map(|(k, v)| (k.to_owned(), v.to_owned()))
             .collect();
@@ -66,7 +80,7 @@ fn client_retries_are_exactly_once() {
     let n = 3;
     let mut sim = SimBuilder::new(n)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+        .build_with(|env| replica(env, ConsensusParams::default()));
     sim.run_until(Instant::from_ticks(2_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
     // A client that retries every command three times (as it would after
@@ -84,7 +98,7 @@ fn client_retries_are_exactly_once() {
     }
     sim.run_until(Instant::from_ticks(30_000));
     for p in (0..n as u32).map(ProcessId) {
-        let state = sim.node(p).state();
+        let state = sim.node(p).state(SHARD).unwrap();
         assert_eq!(state.get("ctr"), Some("4"), "p{p} wrong final value");
         assert_eq!(state.applied_count(), 4, "p{p} applied retries");
         assert_eq!(state.duplicate_count(), 8, "p{p} missed duplicates");
@@ -106,7 +120,7 @@ fn store_survives_leader_failover_without_double_apply() {
     let mut sim = SimBuilder::new(n)
         .seed(11)
         .topology(topo)
-        .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+        .build_with(|env| replica(env, ConsensusParams::default()));
     sim.run_until(Instant::from_ticks(8_000));
     let first = sim.node(ProcessId(2)).omega().leader();
     for seq in 1..=3u64 {
@@ -139,7 +153,7 @@ fn store_survives_leader_failover_without_double_apply() {
     sim.run_until(Instant::from_ticks(120_000));
 
     for p in (0..n as u32).map(ProcessId).filter(|&p| p != first) {
-        let state = sim.node(p).state();
+        let state = sim.node(p).state(SHARD).unwrap();
         for k in ["k1", "k2", "k3"] {
             assert_eq!(state.get(k), Some("pre"), "p{p} lost {k}");
         }
@@ -152,7 +166,7 @@ fn store_survives_leader_failover_without_double_apply() {
     }
 }
 
-/// Satellite regression: a [`SubmitQueue`] with retry backoff enabled,
+/// Satellite regression: a [`ShardedSubmitQueue`] with retry backoff enabled,
 /// driven against a cluster whose leader is killed while half the window
 /// is still in flight, must settle every submitted command exactly once —
 /// the queue's jittered re-submission gets the survivors to the new
@@ -172,12 +186,12 @@ fn mid_window_leader_kill_settles_every_command_exactly_once() {
     let mut sim = SimBuilder::new(n)
         .seed(17)
         .topology(topo)
-        .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+        .build_with(|env| replica(env, ConsensusParams::default()));
     sim.run_until(Instant::from_ticks(8_000));
     let first = sim.node(ProcessId(2)).omega().leader();
 
     let mut client = KvClient::new(ClientId(9));
-    let mut queue = SubmitQueue::new(4);
+    let mut queue = ShardedSubmitQueue::new(PlacementMap::uniform(1, n), 4);
     queue.set_retry_backoff(500, 0xfeed);
     for i in 0..total {
         queue.submit(client.issue(KvCmd::put(format!("k{i}"), format!("v{i}"))));
@@ -191,11 +205,11 @@ fn mid_window_leader_kill_settles_every_command_exactly_once() {
     let mut now = 8_000u64;
     while now < 200_000 && !(queue.is_idle() && killed) {
         // Deliver whatever the window (or a due retry round) admits.
-        for cmd in queue.drain() {
+        for cmd in queue.drain().into_iter().flat_map(|(_, cmds)| cmds) {
             sim.schedule_request(Instant::from_ticks(now + 1), leader, cmd);
         }
         for _ in 0..slice {
-            for cmd in queue.on_tick() {
+            for cmd in queue.on_tick().into_iter().flat_map(|(_, cmds)| cmds) {
                 sim.schedule_request(Instant::from_ticks(now + 1), leader, cmd);
             }
         }
@@ -209,7 +223,7 @@ fn mid_window_leader_kill_settles_every_command_exactly_once() {
         // Route replies (any replica's view; duplicates settle nothing).
         let outputs = sim.outputs();
         for ev in &outputs[seen_outputs..] {
-            if let KvEvent::Applied {
+            if let ShardedKvEvent::Applied {
                 client,
                 seq,
                 response,
@@ -253,7 +267,7 @@ fn mid_window_leader_kill_settles_every_command_exactly_once() {
     );
     // And the survivors agree on the full workload.
     for p in (0..n as u32).map(ProcessId).filter(|&p| p != first) {
-        let state = sim.node(p).state();
+        let state = sim.node(p).state(SHARD).unwrap();
         for i in 0..total {
             assert_eq!(
                 state.get(&format!("k{i}")),
@@ -285,14 +299,14 @@ fn applied_events_report_responses_in_slot_order() {
             ProcessId(0),
             tag(1, 2, KvCmd::cas("x", Some("nope"), "2")),
         )
-        .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+        .build_with(|env| replica(env, ConsensusParams::default()));
     sim.run_until(Instant::from_ticks(10_000));
     let applied: Vec<(u64, KvResponse)> = sim
         .outputs()
         .iter()
         .filter(|e| e.process == ProcessId(0))
         .filter_map(|e| match &e.output {
-            KvEvent::Applied { slot, response, .. } => Some((*slot, response.clone())),
+            ShardedKvEvent::Applied { slot, response, .. } => Some((*slot, response.clone())),
             _ => None,
         })
         .collect();

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardMsg};
 use consensus::{ConsensusParams, Entry, RsmMsg};
-use kvstore::{ClientId, KvCmd, KvReplica, KvState, ShardedKvEvent, ShardedKvNode, Tagged};
+use kvstore::{ClientId, KvCmd, KvState, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_primitives::{Ctx, Effects, Env, Instant, ProcessId, Sm, SnapshotHandle, StorageHandle};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use proptest::prelude::*;
@@ -56,7 +56,10 @@ proptest! {
         let mut sim = SimBuilder::new(n)
             .seed(seed)
             .topology(topo)
-            .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+            .build_with(|env| {
+                let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+                ShardedKvNode::new(env, ConsensusParams::default(), placement)
+            });
         sim.run_until(Instant::from_ticks(10_000));
         let leader = sim.node(ProcessId(0)).omega().leader();
         // Guard against pathological pre-horizon churn: require a stable
@@ -83,7 +86,8 @@ proptest! {
             prop_assume!(sim.node(leader).omega().is_leader());
             let got: Vec<(String, String)> = sim
                 .node(p)
-                .state()
+                .state(ShardId(0))
+                .unwrap()
                 .iter()
                 .map(|(k, v)| (k.to_owned(), v.to_owned()))
                 .collect();
@@ -133,11 +137,12 @@ proptest! {
                 omega_a.clone(),
             ).unwrap();
             a.set_compact_every(cadence);
-            let mut full = ShardedKvNode::with_storage(
+            let mut full = ShardedKvNode::with_storage_and_snapshots(
                 &env,
                 ConsensusParams::default(),
                 PlacementManager::with_all_attached(map.clone()),
                 &stores_b,
+                &BTreeMap::new(),
                 omega_b.clone(),
             ).unwrap();
             let mut fx: Effects<_, ShardedKvEvent> = Effects::new();
@@ -171,11 +176,12 @@ proptest! {
             &snaps_a,
             omega_a,
         ).unwrap();
-        let full2 = ShardedKvNode::<lls_obs::NoopProbe>::with_storage(
+        let full2 = ShardedKvNode::<lls_obs::NoopProbe>::with_storage_and_snapshots(
             &env,
             ConsensusParams::default(),
             PlacementManager::with_all_attached(map),
             &stores_b,
+            &BTreeMap::new(),
             omega_b,
         ).unwrap();
         for shard in &shard_ids {

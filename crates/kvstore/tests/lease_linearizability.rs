@@ -15,10 +15,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::{ConsensusParams, LeaseParams};
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId};
+use consensus::{ConsensusParams, LeaseParams, NodeStorage};
+use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_primitives::{Duration, Env, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
@@ -29,7 +30,15 @@ const KEY: &str = "reg";
 /// The replica under test: recorded probes routed through a watchdog, so
 /// every suite also asserts the `StaleRead`/`LeaseOverlap` detectors stay
 /// quiet on correct executions.
-type Replica = KvReplica<WatchdogProbe<RecordingProbe>>;
+type Replica = ShardedKvNode<WatchdogProbe<RecordingProbe>>;
+
+/// A volatile unsharded replica — one Ω plus one log group — observed by
+/// `probe`.
+fn replica(env: &Env, params: ConsensusParams, probe: WatchdogProbe<RecordingProbe>) -> Replica {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedKvNode::open(env, params, placement, &NodeStorage::default(), probe)
+        .expect("a volatile node reads no storage")
+}
 
 fn lease_params() -> ConsensusParams {
     ConsensusParams {
@@ -71,9 +80,7 @@ fn concurrent_readers_never_observe_a_stale_register() {
     let mut sim = SimBuilder::new(n)
         .seed(23)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .build_with(|env| {
-            KvReplica::new_with_probe(env, params, watchdog.probe(recorders.probe_for(env.id())))
-        });
+        .build_with(|env| replica(env, params, watchdog.probe(recorders.probe_for(env.id()))));
     sim.run_until(Instant::from_ticks(3_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
     let read_nodes: Vec<ProcessId> = std::iter::once(leader)
@@ -131,11 +138,12 @@ fn concurrent_readers_never_observe_a_stale_register() {
     let mut slot_of: BTreeMap<String, u64> = BTreeMap::new();
     let mut commit_at: BTreeMap<String, u64> = BTreeMap::new();
     for ev in outputs {
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             client,
             seq,
             slot,
             response: KvResponse::Applied { .. },
+            ..
         } = &ev.output
         {
             if writers.contains(client) {
@@ -151,7 +159,7 @@ fn concurrent_readers_never_observe_a_stale_register() {
     let mut served = 0u64;
     for read in &issued {
         let serve = outputs.iter().find_map(|ev| match &ev.output {
-            KvEvent::Applied {
+            ShardedKvEvent::Applied {
                 client,
                 seq,
                 response: KvResponse::Value { value },
@@ -189,11 +197,20 @@ fn concurrent_readers_never_observe_a_stale_register() {
     );
     assert_eq!(watchdog.alarm_count(), 0, "watchdog must stay quiet");
     // And the replicas converge on one final register.
-    let reference = sim.node(ProcessId(0)).state().get(KEY).map(str::to_owned);
+    let reference = sim
+        .node(ProcessId(0))
+        .state(ShardId(0))
+        .unwrap()
+        .get(KEY)
+        .map(str::to_owned);
     assert!(reference.is_some());
     for p in (1..n as u32).map(ProcessId) {
         assert_eq!(
-            sim.node(p).state().get(KEY).map(str::to_owned),
+            sim.node(p)
+                .state(ShardId(0))
+                .unwrap()
+                .get(KEY)
+                .map(str::to_owned),
             reference,
             "p{p} diverged"
         );
@@ -218,11 +235,11 @@ fn round_of(value: Option<&str>) -> u64 {
 
 /// Maps a cluster's latest outputs to the per-node leader view
 /// [`await_unanimity`] polls.
-fn leader_view(latest: Vec<Option<KvEvent>>) -> Vec<Option<ProcessId>> {
+fn leader_view(latest: Vec<Option<ShardedKvEvent>>) -> Vec<Option<ProcessId>> {
     latest
         .into_iter()
         .map(|o| match o {
-            Some(KvEvent::Leader(l)) => Some(l),
+            Some(ShardedKvEvent::Leader(l)) => Some(l),
             _ => None,
         })
         .collect()
@@ -297,7 +314,7 @@ fn find_threadnet(
         .outputs_so_far()
         .into_iter()
         .find_map(|t| match t.output {
-            KvEvent::Applied {
+            ShardedKvEvent::Applied {
                 client: c,
                 seq: s,
                 response,
@@ -316,7 +333,7 @@ fn find_wirenet(
     seq: u64,
 ) -> Option<KvResponse> {
     match cluster.latest_outputs().into_iter().nth(node.as_usize())? {
-        Some(KvEvent::Applied {
+        Some(ShardedKvEvent::Applied {
             client: c,
             seq: s,
             response,
@@ -359,7 +376,7 @@ fn threadnet_rounds_stay_fresh_across_a_leader_kill() {
         seed: 23,
     };
     let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
+        replica(
             env,
             lease_params(),
             watchdog.probe(recorders.probe_for(env.id())),
@@ -439,7 +456,7 @@ fn wirenet_rounds_stay_fresh_across_a_leader_kill() {
         faults: None,
     };
     let Ok(mut cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        KvReplica::new_with_probe(
+        replica(
             env,
             lease_params(),
             watchdog.probe(recorders.probe_for(env.id())),

@@ -20,8 +20,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use consensus::{ConsensusParams, LeaseParams};
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId};
+use consensus::{ConsensusParams, LeaseParams, NodeStorage};
+use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{Probe, ProbeEvent, ReadMode, Watchdog, WatchdogConfig, WatchdogProbe};
 use lls_primitives::{Duration, Env, Instant, ProcessId, StorageHandle};
 use netsim::{SimBuilder, Simulator, Topology};
@@ -41,7 +42,28 @@ impl Probe for Collect {
     }
 }
 
-type Replica = KvReplica<WatchdogProbe<Collect>>;
+/// An unsharded store replica: one Ω plus one log group.
+type Replica = ShardedKvNode<WatchdogProbe<Collect>>;
+
+/// A replica's in-memory disk: its group's WAL segment and its Ω segment.
+fn disk() -> NodeStorage {
+    NodeStorage {
+        wals: BTreeMap::from([(ShardId(0), StorageHandle::in_memory())]),
+        omega: Some(StorageHandle::in_memory()),
+        ..NodeStorage::default()
+    }
+}
+
+/// Opens a replica over `disk`, recovering whatever it holds.
+fn replica(
+    env: &Env,
+    params: ConsensusParams,
+    disk: &NodeStorage,
+    probe: WatchdogProbe<Collect>,
+) -> Replica {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedKvNode::open(env, params, placement, disk, probe).expect("in-memory stores")
+}
 
 fn params_for(duration: u64, skew: u64) -> ConsensusParams {
     ConsensusParams {
@@ -138,7 +160,7 @@ fn assert_no_stale_reads(sim: &Simulator<Replica>, issued: &[IssuedRead]) {
     let outputs = sim.outputs();
     let mut commit_at: BTreeMap<u64, u64> = BTreeMap::new();
     for ev in outputs {
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             client,
             seq,
             response: KvResponse::Applied { .. },
@@ -153,7 +175,7 @@ fn assert_no_stale_reads(sim: &Simulator<Replica>, issued: &[IssuedRead]) {
     }
     for read in issued {
         let serve = outputs.iter().find_map(|ev| match &ev.output {
-            KvEvent::Applied {
+            ShardedKvEvent::Applied {
                 client,
                 seq,
                 response: KvResponse::Value { value },
@@ -221,18 +243,12 @@ proptest! {
         let params = params_for(duration, skew);
         let events = Arc::new(Mutex::new(Vec::new()));
         let watchdog = Watchdog::new(n, WatchdogConfig::default());
-        let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+        let disks: Vec<NodeStorage> = (0..n).map(|_| disk()).collect();
         let mut sim = SimBuilder::new(n)
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
             .build_with(|env| {
-                KvReplica::with_storage_and_probe(
-                    env,
-                    params,
-                    stores[env.id().as_usize()].clone(),
-                    watchdog.probe(Collect(Arc::clone(&events))),
-                )
-                .expect("fresh in-memory store")
+                replica(env, params, &disks[env.id().as_usize()], watchdog.probe(Collect(Arc::clone(&events))))
             });
         let mut t = 3_000u64;
         sim.run_until(Instant::from_ticks(t));
@@ -256,13 +272,7 @@ proptest! {
             t += dead;
             sim.run_until(Instant::from_ticks(t));
             let env = Env::new(victim, n);
-            let recovered = KvReplica::with_storage_and_probe(
-                &env,
-                params,
-                stores[victim.as_usize()].clone(),
-                watchdog.probe(Collect(Arc::clone(&events))),
-            )
-            .expect("recover from the victim's WAL");
+            let recovered = replica(&env, params, &disks[victim.as_usize()], watchdog.probe(Collect(Arc::clone(&events))));
             sim.restart(victim, recovered);
             t += 2_500;
             sim.run_until(Instant::from_ticks(t));
@@ -290,18 +300,12 @@ proptest! {
         let params = params_for(duration, skew);
         let events = Arc::new(Mutex::new(Vec::new()));
         let watchdog = Watchdog::new(n, WatchdogConfig::default());
-        let stores: Vec<StorageHandle> = (0..n).map(|_| StorageHandle::in_memory()).collect();
+        let disks: Vec<NodeStorage> = (0..n).map(|_| disk()).collect();
         let mut sim = SimBuilder::new(n)
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
             .build_with(|env| {
-                KvReplica::with_storage_and_probe(
-                    env,
-                    params,
-                    stores[env.id().as_usize()].clone(),
-                    watchdog.probe(Collect(Arc::clone(&events))),
-                )
-                .expect("fresh in-memory store")
+                replica(env, params, &disks[env.id().as_usize()], watchdog.probe(Collect(Arc::clone(&events))))
             });
         let mut t = 3_000u64;
         sim.run_until(Instant::from_ticks(t));
@@ -330,13 +334,7 @@ proptest! {
         t = restart_at;
         sim.run_until(Instant::from_ticks(t));
         let env = Env::new(holder, n);
-        let recovered = KvReplica::with_storage_and_probe(
-            &env,
-            params,
-            stores[holder.as_usize()].clone(),
-            watchdog.probe(Collect(Arc::clone(&events))),
-        )
-        .expect("recover from the holder's WAL");
+        let recovered = replica(&env, params, &disks[holder.as_usize()], watchdog.probe(Collect(Arc::clone(&events))));
         sim.restart(holder, recovered);
         // Pepper the restarted node with reads across the tail: inside its
         // old window, across the boot blackout, and beyond.

@@ -14,10 +14,10 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use consensus::shard::{PlacementManager, PlacementMap, ShardId};
-use consensus::{ConsensusParams, LeaseParams};
+use consensus::{ConsensusParams, LeaseParams, NodeStorage};
 use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe, Watchdog, WatchdogConfig, WatchdogProbe};
-use lls_primitives::{Duration, Instant, ProcessId};
+use lls_primitives::{Duration, Env, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
@@ -38,6 +38,18 @@ fn lease_params() -> ConsensusParams {
 
 fn placement(n: usize) -> PlacementManager {
     PlacementManager::with_all_attached(PlacementMap::uniform(SHARDS, n))
+}
+
+/// A volatile node over [`placement`], observed by `probe`.
+fn node(env: &Env, params: ConsensusParams, probe: WatchdogProbe<RecordingProbe>) -> Node {
+    ShardedKvNode::open(
+        env,
+        params,
+        placement(env.n()),
+        &NodeStorage::default(),
+        probe,
+    )
+    .expect("a volatile node reads no storage")
 }
 
 fn writer_of(key_idx: usize) -> ClientId {
@@ -81,14 +93,7 @@ fn cross_shard_reads_respect_per_key_real_time() {
     let mut sim = SimBuilder::new(n)
         .seed(29)
         .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-        .build_with(|env| {
-            ShardedKvNode::new_with_probe(
-                env,
-                params,
-                placement(n),
-                watchdog.probe(recorders.probe_for(env.id())),
-            )
-        });
+        .build_with(|env| node(env, params, watchdog.probe(recorders.probe_for(env.id()))));
     sim.run_until(Instant::from_ticks(3_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
 
@@ -369,10 +374,9 @@ fn assert_threadnet_cross_shard(n: usize, writes_per_key: u64) {
         seed: 29,
     };
     let cluster = Cluster::spawn_traced(config, recorders.clocks(), |env| {
-        ShardedKvNode::new_with_probe(
+        node(
             env,
             lease_params(),
-            placement(n),
             watchdog.probe(recorders.probe_for(env.id())),
         )
     });
@@ -466,10 +470,9 @@ fn wirenet_cross_shard_settles_by_quiescence_polling() {
         faults: None,
     };
     let Ok(cluster) = WireCluster::try_spawn_traced(config, recorders.clocks(), |env| {
-        ShardedKvNode::new_with_probe(
+        node(
             env,
             lease_params(),
-            placement(n),
             watchdog.probe(recorders.probe_for(env.id())),
         )
     }) else {

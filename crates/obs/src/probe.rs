@@ -21,7 +21,7 @@ use std::fmt;
 
 /// Identity of one client command, stable across every stage of its life.
 ///
-/// Assigned at `SubmitQueue::submit`: `client` is the submitting client's id
+/// Assigned at `ShardedSubmitQueue::submit`: `client` is the submitting client's id
 /// and `seq` its per-client sequence number — the same pair the KV layer
 /// already uses for exactly-once reply routing, so the id needs no extra
 /// wire bytes. Raw `u64` command streams (the bench harnesses) use

@@ -7,7 +7,8 @@
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::{BatchParams, ConsensusParams, ReplicatedLog, RsmEvent};
+use consensus::shard::{PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest};
+use consensus::{BatchParams, ConsensusParams, ShardedNode};
 use lls_obs::Registry;
 use lls_primitives::ProcessId;
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
@@ -26,16 +27,15 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
             faults: None,
         },
         |env| {
-            ReplicatedLog::<u64, _>::new(
-                env,
-                ConsensusParams {
-                    batch: BatchParams {
-                        max_batch: 8,
-                        pipeline_depth: 8,
-                    },
-                    ..ConsensusParams::default()
+            let params = ConsensusParams {
+                batch: BatchParams {
+                    max_batch: 8,
+                    pipeline_depth: 8,
                 },
-            )
+                ..ConsensusParams::default()
+            };
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+            ShardedNode::<u64>::new(env, params, placement)
         },
     )
     .expect("bind 127.0.0.1 listeners");
@@ -49,7 +49,7 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
             .latest_outputs()
             .into_iter()
             .map(|o| match o {
-                Some(RsmEvent::Leader(l)) => Some(l),
+                Some(ShardEvent::Leader(l)) => Some(l),
                 _ => None,
             })
             .collect();
@@ -70,7 +70,13 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
     // The pipelined burst: far more traffic than 4-deep queues can hold.
     let burst = 400u64;
     for v in 0..burst {
-        cluster.request(leader, v);
+        cluster.request(
+            leader,
+            ShardRequest {
+                shard: ShardId(0),
+                cmd: v,
+            },
+        );
     }
 
     // Liveness despite overflow: the retry path re-sends what the queue
@@ -81,7 +87,7 @@ fn pipelined_burst_overflows_queue_without_deadlock_and_counts_drops() {
         let progressed = cluster
             .latest_outputs()
             .into_iter()
-            .any(|o| matches!(o, Some(RsmEvent::Committed { cmd: Some(v), .. }) if v >= 50));
+            .any(|o| matches!(o, Some(ShardEvent::Committed { cmd: Some(v), .. }) if v >= 50));
         if progressed {
             break;
         }

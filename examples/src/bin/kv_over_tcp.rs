@@ -1,6 +1,7 @@
 //! The replicated key-value store over **real TCP sockets**: the same
-//! `KvReplica` state machine that runs in the simulator and on the thread
-//! mesh, here wired over localhost connections with the framed wire codec.
+//! `ShardedKvNode` state machine (here with one shard) that runs in the
+//! simulator and on the thread mesh, wired over localhost connections with
+//! the framed wire codec.
 //!
 //! Three replicas elect a leader, a client aims tagged commands at it, and
 //! every replica applies the committed log in order — the example asserts
@@ -18,13 +19,14 @@
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use consensus::ConsensusParams;
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, Tagged};
+use consensus::shard::{PlacementManager, PlacementMap};
+use consensus::{ConsensusParams, NodeStorage};
+use kvstore::{ClientId, KvCmd, ShardedKvEvent, ShardedKvNode, Tagged};
 use lls_obs::{NodeRecorders, RecordingProbe};
 use lls_primitives::ProcessId;
 use wirenet::{scrape, ScrapeRoutes, ScrapeServer, WireCluster, WireConfig};
 
-type Replica = KvReplica<RecordingProbe>;
+type Replica = ShardedKvNode<RecordingProbe>;
 
 /// Polls until every replica's latest output is `Leader(l)` for the same
 /// `l`, held for 300 ms (momentary agreement during startup churn does not
@@ -35,7 +37,11 @@ fn await_leader(cluster: &WireCluster<Replica>, timeout: StdDuration) -> Process
     loop {
         let latest = cluster.latest_outputs();
         let unanimous = latest.first().and_then(|o| match o {
-            Some(KvEvent::Leader(l)) if latest.iter().all(|o| *o == Some(KvEvent::Leader(*l))) => {
+            Some(ShardedKvEvent::Leader(l))
+                if latest
+                    .iter()
+                    .all(|o| *o == Some(ShardedKvEvent::Leader(*l))) =>
+            {
                 Some(*l)
             }
             _ => None,
@@ -62,7 +68,7 @@ fn await_applied(cluster: &WireCluster<Replica>, last_seq: u64, timeout: StdDura
         let done = cluster
             .latest_outputs()
             .iter()
-            .all(|o| matches!(o, Some(KvEvent::Applied { seq, .. }) if *seq == last_seq));
+            .all(|o| matches!(o, Some(ShardedKvEvent::Applied { seq, .. }) if *seq == last_seq));
         if done {
             return;
         }
@@ -110,11 +116,11 @@ fn main() {
         },
         recorders.clocks(),
         |env| {
-            KvReplica::new_with_probe(
-                env,
-                ConsensusParams::default(),
-                recorders.probe_for(env.id()),
-            )
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+            let probe = recorders.probe_for(env.id());
+            let volatile = NodeStorage::default();
+            ShardedKvNode::open(env, ConsensusParams::default(), placement, &volatile, probe)
+                .expect("a volatile node reads no storage")
         },
     )
     .expect("bind localhost listeners");
@@ -177,13 +183,14 @@ fn main() {
             .iter()
             .filter(|t| t.process == p)
             .filter_map(|t| match &t.output {
-                KvEvent::Applied {
+                ShardedKvEvent::Applied {
                     slot,
                     client,
                     seq,
                     response,
+                    ..
                 } => Some((*slot, *client, *seq, response.clone())),
-                KvEvent::Leader(_) | KvEvent::SnapshotInstalled { .. } => None,
+                ShardedKvEvent::Leader(_) | ShardedKvEvent::SnapshotInstalled { .. } => None,
             })
             .collect()
     };

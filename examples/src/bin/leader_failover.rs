@@ -3,9 +3,24 @@
 //!
 //! Run with: `cargo run -p lls-examples --bin leader_failover`
 
-use consensus::{ConsensusParams, ReplicatedLog, RsmEvent};
+use consensus::shard::{PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest};
+use consensus::{ConsensusParams, ReplicatedLog, ShardedNode};
 use lls_primitives::{Instant, ProcessId};
-use netsim::{SimBuilder, SystemSParams, Topology};
+use netsim::{SimBuilder, Simulator, SystemSParams, Topology};
+
+/// Each replica is one Ω plus one replicated-log group.
+type Node = ShardedNode<u64>;
+
+fn put(k: u64) -> ShardRequest<u64> {
+    ShardRequest {
+        shard: ShardId(0),
+        cmd: k,
+    }
+}
+
+fn log(sim: &Simulator<Node>, p: ProcessId) -> &ReplicatedLog<u64> {
+    sim.node(p).group(ShardId(0)).expect("group 0 is attached")
+}
 
 fn main() {
     let n = 5;
@@ -22,18 +37,20 @@ fn main() {
     let mut sim = SimBuilder::new(n)
         .seed(11)
         .topology(topology)
-        .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+        .build_with(|env| {
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+            Node::new(env, ConsensusParams::default(), placement)
+        });
 
     // Phase 1: elect, then commit commands 0..5 under the first leader.
     sim.run_until(Instant::from_ticks(8_000));
     let first_leader = sim.node(ProcessId(1)).omega().leader();
     println!("first leader: {first_leader}");
     for k in 0..5u64 {
-        sim.schedule_request(Instant::from_ticks(8_100 + 200 * k), first_leader, k);
+        sim.schedule_request(Instant::from_ticks(8_100 + 200 * k), first_leader, put(k));
     }
     sim.run_until(Instant::from_ticks(20_000));
-    let committed: Vec<u64> = sim
-        .node(first_leader)
+    let committed: Vec<u64> = log(&sim, first_leader)
         .committed_commands()
         .cloned()
         .collect();
@@ -54,20 +71,19 @@ fn main() {
         sim.schedule_request(
             Instant::from_ticks(60_100 + 200 * (k - 5)),
             second_leader,
-            k,
+            put(k),
         );
     }
     sim.run_until(Instant::from_ticks(120_000));
 
     println!("\n=== leader timeline (as seen by {survivor}) ===");
     for e in sim.outputs().iter().filter(|e| e.process == survivor) {
-        if let RsmEvent::Leader(l) = &e.output {
+        if let ShardEvent::Leader(l) = &e.output {
             println!("  t={:<8} trusts {l}", e.at.ticks());
         }
     }
 
-    let final_log: Vec<u64> = sim
-        .node(second_leader)
+    let final_log: Vec<u64> = log(&sim, second_leader)
         .committed_commands()
         .cloned()
         .collect();

@@ -7,18 +7,22 @@
 //!
 //! Run with: `cargo run -p lls-examples --bin lock_service`
 
+use consensus::shard::{PlacementManager, PlacementMap, ShardId};
 use consensus::ConsensusParams;
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
+use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
+
+/// The store runs unsharded: one group per replica.
+const SHARD: ShardId = ShardId(0);
 use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 
 fn main() {
     let n = 5;
     let topo = Topology::system_s(n, ProcessId(0), SystemSParams::default());
-    let mut sim = SimBuilder::new(n)
-        .seed(5)
-        .topology(topo)
-        .build_with(|env| KvReplica::new(env, ConsensusParams::default()));
+    let mut sim = SimBuilder::new(n).seed(5).topology(topo).build_with(|env| {
+        let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+        ShardedKvNode::new(env, ConsensusParams::default(), placement)
+    });
 
     sim.run_until(Instant::from_ticks(15_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
@@ -39,13 +43,19 @@ fn main() {
 
     let holder = sim
         .node(ProcessId(0))
-        .state()
+        .state(SHARD)
+        .expect("the store's one shard")
         .get("lock:build")
         .expect("someone must hold the lock")
         .to_owned();
     println!("lock holder everywhere:");
     for p in (0..n as u32).map(ProcessId) {
-        let h = sim.node(p).state().get("lock:build").unwrap();
+        let h = sim
+            .node(p)
+            .state(SHARD)
+            .expect("the store's one shard")
+            .get("lock:build")
+            .unwrap();
         println!("  {p}: {h}");
         assert_eq!(h, holder);
     }
@@ -56,7 +66,7 @@ fn main() {
     let mut failed = 0;
     let mut dups = 0;
     for e in sim.outputs().iter().filter(|e| e.process == leader) {
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             response, client, ..
         } = &e.output
         {
@@ -100,7 +110,12 @@ fn main() {
         },
     );
     sim.run_until(Instant::from_ticks(70_000));
-    let new_holder = sim.node(ProcessId(1)).state().get("lock:build").unwrap();
+    let new_holder = sim
+        .node(ProcessId(1))
+        .state(SHARD)
+        .expect("the store's one shard")
+        .get("lock:build")
+        .unwrap();
     println!("after release, new holder: {new_holder}");
     assert_eq!(new_holder, loser_name);
 }

@@ -1,6 +1,7 @@
-//! The throughput path, end to end: a windowed client ([`SubmitQueue`])
-//! feeds a batching/pipelining replicated KV store, and per-command
-//! replies are routed back out of multi-command slots.
+//! The throughput path, end to end: a windowed client
+//! ([`ShardedSubmitQueue`] over one shard) feeds a batching/pipelining
+//! replicated KV store, and per-command replies are routed back out of
+//! multi-command slots.
 //!
 //! The same 120-command workload runs twice on the deterministic
 //! simulator: once with the one-slot-at-a-time baseline (`max_batch = 1`,
@@ -11,8 +12,9 @@
 //!
 //! Run with: `cargo run -p lls-examples --bin pipelined_kv`
 
+use consensus::shard::{PlacementManager, PlacementMap, ShardId};
 use consensus::{BatchParams, ConsensusParams};
-use kvstore::{ClientId, KvClient, KvCmd, KvEvent, KvReplica, SubmitQueue};
+use kvstore::{ClientId, KvClient, KvCmd, ShardedKvEvent, ShardedKvNode, ShardedSubmitQueue};
 use lls_primitives::{Duration, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 
@@ -33,7 +35,10 @@ fn drive(max_batch: usize, pipeline_depth: usize) -> (u64, u64, Option<String>) 
     let mut sim = SimBuilder::new(N)
         .seed(7)
         .topology(Topology::all_timely(N, Duration::from_ticks(2)))
-        .build_with(|env| KvReplica::new(env, params));
+        .build_with(|env| {
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, N));
+            ShardedKvNode::new(env, params, placement)
+        });
 
     // Stabilize, then aim the client at the elected leader.
     let start = 2_000u64;
@@ -43,7 +48,7 @@ fn drive(max_batch: usize, pipeline_depth: usize) -> (u64, u64, Option<String>) 
     // The client mints its whole workload up front; the queue releases at
     // most 16 commands to the wire at a time and coalesces the rest.
     let mut client = KvClient::new(ClientId(1));
-    let mut queue = SubmitQueue::new(16);
+    let mut queue = ShardedSubmitQueue::new(PlacementMap::uniform(1, N), 16);
     for i in 0..COMMANDS {
         queue.submit(client.issue(KvCmd::put("counter", format!("v{i}"))));
     }
@@ -53,8 +58,10 @@ fn drive(max_batch: usize, pipeline_depth: usize) -> (u64, u64, Option<String>) 
     let mut settled = 0u64;
     while !queue.is_idle() && now < start + 60_000 {
         // Release what the window admits and put it on the (simulated) wire.
-        for cmd in queue.drain() {
-            sim.schedule_request(Instant::from_ticks(now + 1), leader, cmd);
+        for (_, cmds) in queue.drain() {
+            for cmd in cmds {
+                sim.schedule_request(Instant::from_ticks(now + 1), leader, cmd);
+            }
         }
         now += 20;
         sim.run_until(Instant::from_ticks(now));
@@ -65,7 +72,7 @@ fn drive(max_batch: usize, pipeline_depth: usize) -> (u64, u64, Option<String>) 
             if ev.process != leader {
                 continue;
             }
-            if let KvEvent::Applied {
+            if let ShardedKvEvent::Applied {
                 client,
                 seq,
                 ref response,
@@ -81,10 +88,12 @@ fn drive(max_batch: usize, pipeline_depth: usize) -> (u64, u64, Option<String>) 
     }
     assert_eq!(settled, COMMANDS, "every command must settle exactly once");
 
-    let slots = sim.node(leader).log().committed_len();
+    let group = sim.node(leader).node().group(ShardId(0));
+    let slots = group.expect("the store's one shard").committed_len();
     let value = sim
         .node(ProcessId(1)) // a follower: replicas agree
-        .state()
+        .state(ShardId(0))
+        .expect("the store's one shard")
         .get("counter")
         .map(str::to_string);
     (now - start, slots, value)

@@ -1,5 +1,6 @@
-//! A replicated key-value store on top of the [`ReplicatedLog`]: the
-//! workload the paper's consensus result exists to serve.
+//! A replicated key-value store on top of a replicated log — one Ω plus
+//! one log group per replica: the workload the paper's consensus result
+//! exists to serve.
 //!
 //! Five replicas run over system S (one ♦-source, fair-lossy mesh). Clients
 //! submit `PUT` commands to the stable leader; every replica applies the
@@ -9,7 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use consensus::{ConsensusParams, LifecycleId, ReplicatedLog, RsmEvent};
+use consensus::shard::{PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest};
+use consensus::{ConsensusParams, LifecycleId, ShardedNode};
 use lls_primitives::wire::{Wire, WireError, WireReader};
 use lls_primitives::{Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
@@ -78,7 +80,10 @@ fn main() {
     let mut sim = SimBuilder::new(n)
         .seed(7)
         .topology(topology)
-        .build_with(|env| ReplicatedLog::<Put>::new(env, ConsensusParams::default()));
+        .build_with(|env| {
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+            ShardedNode::<Put>::new(env, ConsensusParams::default(), placement)
+        });
 
     // Let the election stabilize, then find the actual leader and aim the
     // client traffic at it (a real client would discover the leader the same
@@ -91,14 +96,17 @@ fn main() {
         sim.schedule_request(
             Instant::from_ticks(15_100 + 400 * i as u64),
             leader,
-            cmd.clone(),
+            ShardRequest {
+                shard: ShardId(0),
+                cmd: cmd.clone(),
+            },
         );
     }
     sim.run_until(Instant::from_ticks(60_000));
 
     println!("\n=== commit log (as observed at {leader}) ===");
     for e in sim.outputs().iter().filter(|e| e.process == leader) {
-        if let RsmEvent::Committed { slot, cmd } = &e.output {
+        if let ShardEvent::Committed { slot, cmd, .. } = &e.output {
             println!("  t={:<7} slot {slot}: {cmd:?}", e.at.ticks());
         }
     }
@@ -106,7 +114,8 @@ fn main() {
     println!("\n=== materialized stores ===");
     let mut stores = Vec::new();
     for p in (0..n as u32).map(ProcessId) {
-        let store = materialize(sim.node(p).committed_commands().cloned());
+        let log = sim.node(p).group(ShardId(0)).expect("group 0 is attached");
+        let store = materialize(log.committed_commands().cloned());
         println!("  {p}: {store:?}");
         stores.push(store);
     }

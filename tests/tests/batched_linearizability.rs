@@ -22,9 +22,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
+use consensus::shard::{PlacementManager, PlacementMap};
 use consensus::{BatchParams, ConsensusParams};
-use kvstore::{ClientId, KvCmd, KvEvent, KvReplica, KvResponse, Tagged};
-use lls_primitives::{Duration, Instant, ProcessId};
+use kvstore::{ClientId, KvCmd, KvResponse, ShardedKvEvent, ShardedKvNode, Tagged};
+use lls_primitives::{Duration, Env, Instant, ProcessId};
 use netsim::{SimBuilder, Topology};
 use threadnet::{Cluster, NetConfig};
 use wirenet::{BackoffConfig, WireCluster, WireConfig};
@@ -44,6 +45,12 @@ fn batched_params() -> ConsensusParams {
         },
         ..ConsensusParams::default()
     }
+}
+
+/// An unsharded store replica: one Ω plus one log group.
+fn replica(env: &Env) -> ShardedKvNode {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, env.n()));
+    ShardedKvNode::new(env, batched_params(), placement)
 }
 
 /// The value client `c` writes at sequence `s` — unique per operation, so
@@ -117,7 +124,7 @@ fn batched_history_is_linearizable_on_netsim() {
     let mut sim = SimBuilder::new(N)
         .seed(13)
         .topology(Topology::all_timely(N, Duration::from_ticks(2)))
-        .build_with(|env| KvReplica::new(env, batched_params()));
+        .build_with(replica);
     sim.run_until(Instant::from_ticks(2_000));
     let leader = sim.node(ProcessId(0)).omega().leader();
     // Two ops per tick: faster than the one-slot-per-round-trip rate, so
@@ -131,7 +138,7 @@ fn batched_history_is_linearizable_on_netsim() {
     let mut histories: Vec<Vec<HistoryOp>> = vec![Vec::new(); N];
     let mut commit_tick: BTreeMap<(ClientId, u64), u64> = BTreeMap::new();
     for ev in sim.outputs() {
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             client,
             seq,
             ref response,
@@ -172,7 +179,10 @@ fn batched_history_is_linearizable_on_netsim() {
 
 /// Awaits a leader that every node reports and that stays stable, reading
 /// a cluster's latest outputs through `latest`.
-fn await_stable_leader(latest: impl Fn() -> Vec<Option<KvEvent>>, substrate: &str) -> ProcessId {
+fn await_stable_leader(
+    latest: impl Fn() -> Vec<Option<ShardedKvEvent>>,
+    substrate: &str,
+) -> ProcessId {
     let deadline = StdInstant::now() + StdDuration::from_secs(10);
     let stable_for = StdDuration::from_millis(300);
     let mut held: Option<(ProcessId, StdInstant)> = None;
@@ -180,7 +190,7 @@ fn await_stable_leader(latest: impl Fn() -> Vec<Option<KvEvent>>, substrate: &st
         let view: Vec<Option<ProcessId>> = latest()
             .into_iter()
             .map(|o| match o {
-                Some(KvEvent::Leader(l)) => Some(l),
+                Some(ShardedKvEvent::Leader(l)) => Some(l),
                 _ => None,
             })
             .collect();
@@ -205,10 +215,10 @@ fn await_stable_leader(latest: impl Fn() -> Vec<Option<KvEvent>>, substrate: &st
     }
 }
 
-fn histories_from(outputs: &[(ProcessId, KvEvent)]) -> Vec<Vec<HistoryOp>> {
+fn histories_from(outputs: &[(ProcessId, ShardedKvEvent)]) -> Vec<Vec<HistoryOp>> {
     let mut histories: Vec<Vec<HistoryOp>> = vec![Vec::new(); N];
     for (p, ev) in outputs {
-        if let KvEvent::Applied {
+        if let ShardedKvEvent::Applied {
             client,
             seq,
             response,
@@ -232,7 +242,7 @@ fn batched_history_is_linearizable_on_threadnet() {
             tick: StdDuration::from_millis(1),
             seed: 13,
         },
-        |env| KvReplica::new(env, batched_params()),
+        replica,
     );
     let leader = await_stable_leader(|| cluster.latest_outputs(), "threadnet");
     let ops = workload();
@@ -247,7 +257,7 @@ fn batched_history_is_linearizable_on_threadnet() {
         let done = (0..N as u32).map(ProcessId).all(|p| {
             outputs
                 .iter()
-                .filter(|t| t.process == p && matches!(t.output, KvEvent::Applied { .. }))
+                .filter(|t| t.process == p && matches!(t.output, ShardedKvEvent::Applied { .. }))
                 .count()
                 >= total
         });
@@ -261,7 +271,7 @@ fn batched_history_is_linearizable_on_threadnet() {
         std::thread::sleep(StdDuration::from_millis(5));
     }
     let report = cluster.stop();
-    let outputs: Vec<(ProcessId, KvEvent)> = report
+    let outputs: Vec<(ProcessId, ShardedKvEvent)> = report
         .outputs
         .iter()
         .map(|t| (t.process, t.output.clone()))
@@ -279,7 +289,7 @@ fn batched_history_is_linearizable_on_wirenet() {
             backoff: BackoffConfig::default(),
             faults: None,
         },
-        |env| KvReplica::new(env, batched_params()),
+        replica,
     )
     .expect("bind 127.0.0.1 listeners");
     let leader = await_stable_leader(|| cluster.latest_outputs(), "wirenet");
@@ -297,7 +307,7 @@ fn batched_history_is_linearizable_on_wirenet() {
         let done = latest.iter().all(|o| {
             matches!(
                 o,
-                Some(KvEvent::Applied { client, seq, .. })
+                Some(ShardedKvEvent::Applied { client, seq, .. })
                     if *client == last.client && *seq == last.seq
             )
         });
@@ -311,7 +321,7 @@ fn batched_history_is_linearizable_on_wirenet() {
         std::thread::sleep(StdDuration::from_millis(5));
     }
     let report = cluster.stop();
-    let outputs: Vec<(ProcessId, KvEvent)> = report
+    let outputs: Vec<(ProcessId, ShardedKvEvent)> = report
         .outputs
         .iter()
         .map(|t| (t.process, t.output.clone()))

@@ -17,10 +17,21 @@
 
 use std::collections::BTreeMap;
 
-use consensus::{Ballot, BatchParams, ConsensusParams, ReplicatedLog, RsmEvent, RsmMsg};
+use consensus::shard::{
+    PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg, ShardRequest,
+};
+use consensus::{Ballot, BatchParams, ConsensusParams, NodeStorage, RsmMsg, ShardedNode};
+use lls_obs::NoopProbe;
 use lls_primitives::{Ctx, Duration, Effects, Env, Instant, ProcessId, Sm, StorageHandle};
 use netsim::{SimBuilder, Topology};
 use proptest::prelude::*;
+
+/// The replicated log under test is group 0 of a one-group node.
+const G: ShardId = ShardId(0);
+
+fn one_group(n: usize) -> PlacementManager {
+    PlacementManager::with_all_attached(PlacementMap::uniform(1, n))
+}
 
 fn params_with(max_batch: usize, pipeline_depth: usize) -> ConsensusParams {
     ConsensusParams {
@@ -48,17 +59,18 @@ proptest! {
         let mut sim = SimBuilder::new(n)
             .seed(seed)
             .topology(Topology::all_timely(n, Duration::from_ticks(2)))
-            .build_with(|env| ReplicatedLog::<u64>::new(env, params));
+            .build_with(|env| ShardedNode::<u64>::new(env, params, one_group(n)));
         sim.run_until(Instant::from_ticks(2_000));
         let leader = sim.node(ProcessId(0)).omega().leader();
         for i in 0..commands {
-            sim.schedule_request(Instant::from_ticks(2_001 + i / per_tick), leader, i);
+            let put = ShardRequest { shard: G, cmd: i };
+            sim.schedule_request(Instant::from_ticks(2_001 + i / per_tick), leader, put);
         }
         sim.run_until(Instant::from_ticks(2_000 + commands * 16 + 10_000));
 
         let mut streams: Vec<Vec<(u64, Option<u64>)>> = vec![Vec::new(); n];
         for ev in sim.outputs() {
-            if let RsmEvent::Committed { slot, cmd } = ev.output {
+            if let ShardEvent::Committed { slot, cmd, .. } = ev.output {
                 streams[ev.process.as_usize()].push((slot, cmd));
             }
         }
@@ -91,10 +103,11 @@ proptest! {
             );
         }
         // Entry-level agreement: batch boundaries are part of the decision.
-        let reference = sim.node(ProcessId(0)).chosen_entries();
+        let entries = |p: u32| sim.node(ProcessId(p)).group(G).expect("group 0").chosen_entries();
+        let reference = entries(0);
         for p in 1..n as u32 {
             prop_assert_eq!(
-                sim.node(ProcessId(p)).chosen_entries(),
+                entries(p),
                 reference.clone(),
                 "replica {} disagrees on chosen entries", p
             );
@@ -128,26 +141,36 @@ proptest! {
         crash_at in any::<usize>(),
     ) {
         let env = Env::new(ProcessId(0), 3);
-        let store = StorageHandle::in_memory();
+        let storage = NodeStorage {
+            wals: BTreeMap::from([(G, StorageHandle::in_memory())]),
+            omega: Some(StorageHandle::in_memory()),
+            ..NodeStorage::default()
+        };
         let params = params_with(max_batch, depth);
+        let open = || {
+            ShardedNode::<u64>::open(&env, params, one_group(3), &storage, NoopProbe)
+                .expect("in-memory stores")
+        };
         let mut fx = Effects::new();
 
-        let mut sm = ReplicatedLog::<u64>::with_storage(&env, params, store.clone())
-            .expect("fresh in-memory store");
+        let mut sm = open();
         sm.on_start(&mut Ctx::new(&env, Instant::ZERO, &mut fx));
         fx.take();
         // Establish leadership: one peer's promise completes the quorum.
         sm.on_message(
             &mut Ctx::new(&env, Instant::ZERO, &mut fx),
             ProcessId(1),
-            RsmMsg::Promise {
-                b: Ballot::new(1, ProcessId(0)),
-                accepted: vec![],
-                low_slot: 0,
+            ShardMsg::Rsm {
+                shard: G,
+                msg: RsmMsg::Promise {
+                    b: Ballot::new(1, ProcessId(0)),
+                    accepted: vec![],
+                    low_slot: 0,
+                },
             },
         );
         fx.take();
-        prop_assert!(sm.is_established_leader());
+        prop_assert!(sm.group(G).expect("group 0").is_established_leader());
 
         // Drive a random prefix of the storm: requests pump batches into
         // the pipeline, acks choose slots (quorum of 2 with the self-ack).
@@ -156,16 +179,19 @@ proptest! {
         for s in &script[..cut] {
             let mut ctx = Ctx::new(&env, Instant::ZERO, &mut fx);
             match *s {
-                Step::Request(v) => sm.on_request(&mut ctx, v),
+                Step::Request(v) => sm.on_request(&mut ctx, ShardRequest { shard: G, cmd: v }),
                 Step::AckFrom(peer) => {
                     let slot = next_ack.entry(peer).or_insert(0);
                     sm.on_message(
                         &mut ctx,
                         ProcessId(peer),
-                        RsmMsg::Accepted {
-                            b: Ballot::new(1, ProcessId(0)),
-                            slot: *slot,
-                            emitted: 0,
+                        ShardMsg::Rsm {
+                            shard: G,
+                            msg: RsmMsg::Accepted {
+                                b: Ballot::new(1, ProcessId(0)),
+                                slot: *slot,
+                                emitted: 0,
+                            },
                         },
                     );
                     *slot += 1;
@@ -173,12 +199,11 @@ proptest! {
             }
             fx.take();
         }
-        let chosen_before = sm.chosen_entries();
+        let chosen_before = sm.group(G).expect("group 0").chosen_entries();
         drop(sm); // crash mid-pipeline
 
-        let sm = ReplicatedLog::<u64>::with_storage(&env, params, store)
-            .expect("recover from WAL");
-        let chosen_after = sm.chosen_entries();
+        let sm = open();
+        let chosen_after = sm.group(G).expect("group 0").chosen_entries();
         for (slot, entry) in &chosen_before {
             prop_assert_eq!(
                 chosen_after.get(slot),

@@ -25,7 +25,8 @@ use std::path::PathBuf;
 use consensus::shard::{
     PlacementManager, PlacementMap, ShardEvent, ShardId, ShardMsg, ShardRequest, ShardedNode,
 };
-use consensus::{Ballot, Consensus, ConsensusMsg, ConsensusParams, Entry, RsmMsg};
+use consensus::{Ballot, Consensus, ConsensusMsg, ConsensusParams, Entry, NodeStorage, RsmMsg};
+use lls_obs::NoopProbe;
 use lls_primitives::{Ctx, Effects, Env, Instant, ProcessId, Sm, StorageHandle};
 use proptest::prelude::*;
 
@@ -301,18 +302,26 @@ fn committed(sm: &ShardedNode<u64>, shard: u32) -> Vec<u64> {
 fn restart_of_a_two_shard_node_recovers_both_groups_from_their_own_segments() {
     let segments = TempSegments::new(&["shard0", "shard1", "omega"]);
     let placement = PlacementManager::with_all_attached(PlacementMap::uniform(2, 3));
-    let mut stores = BTreeMap::new();
-    stores.insert(ShardId(0), segments.handle(0));
-    stores.insert(ShardId(1), segments.handle(1));
     let params = ConsensusParams::default();
     let env = Env::new(ProcessId(0), 3);
+    // Fresh handles on every open, as a real process restart would open
+    // the files.
+    let open = || {
+        let storage = NodeStorage {
+            wals: BTreeMap::from([
+                (ShardId(0), segments.handle(0)),
+                (ShardId(1), segments.handle(1)),
+            ]),
+            omega: Some(segments.handle(2)),
+            ..NodeStorage::default()
+        };
+        ShardedNode::open(&env, params, placement.clone(), &storage, NoopProbe)
+    };
 
     // Life before the crash: both groups led, asymmetric histories (two
     // commands in group 0, one in group 1).
     {
-        let sm =
-            ShardedNode::with_storage(&env, params, placement.clone(), &stores, segments.handle(2))
-                .expect("fresh segments");
+        let sm = open().expect("fresh segments");
         let mut d = ShardDriver {
             env,
             sm,
@@ -329,13 +338,8 @@ fn restart_of_a_two_shard_node_recovers_both_groups_from_their_own_segments() {
         // Crash: the whole node drops; only the files survive.
     }
 
-    // Restart from the same file-backed segments (fresh handles, as a real
-    // process restart would open them).
-    let mut stores = BTreeMap::new();
-    stores.insert(ShardId(0), segments.handle(0));
-    stores.insert(ShardId(1), segments.handle(1));
-    let sm = ShardedNode::with_storage(&env, params, placement, &stores, segments.handle(2))
-        .expect("recover every group from its own WAL segment");
+    // Restart from the same file-backed segments.
+    let sm = open().expect("recover every group from its own WAL segment");
 
     // Every attached group is back, each with exactly its own history.
     assert_eq!(

@@ -4,11 +4,25 @@
 use std::collections::BTreeMap;
 
 use consensus::checker::{check_consensus_safety, check_log_consistency, DecisionRecord};
-use consensus::{Consensus, ConsensusEvent, ConsensusParams, ReplicatedLog};
-use lls_primitives::{Instant, ProcessId};
+use consensus::shard::{PlacementManager, PlacementMap, ShardId, ShardRequest};
+use consensus::{Consensus, ConsensusEvent, ConsensusParams, ShardedNode};
+use lls_primitives::{Env, Instant, ProcessId};
 use netsim::{SimBuilder, SystemSParams, Topology};
 use omega::spec::{stabilization, tail_cut, LeaderRecord};
 use omega::{CommEffOmega, OmegaParams};
+
+/// A replicated-log node: one Ω and one log group.
+fn log_node(env: &Env, n: usize) -> ShardedNode<u64> {
+    let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+    ShardedNode::new(env, ConsensusParams::default(), placement)
+}
+
+fn put(cmd: u64) -> ShardRequest<u64> {
+    ShardRequest {
+        shard: ShardId(0),
+        cmd,
+    }
+}
 
 /// The full pipeline of the paper in one run: (1) Ω elects a leader
 /// communication-efficiently in system S; (2) consensus, driven by that Ω,
@@ -76,8 +90,8 @@ fn full_stack_runs_are_reproducible() {
             .seed(99)
             .topology(topo)
             .crash_at(ProcessId(3), Instant::from_ticks(7_000))
-            .request_at(Instant::from_ticks(12_000), ProcessId(1), 5u64)
-            .build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+            .request_at(Instant::from_ticks(12_000), ProcessId(1), put(5))
+            .build_with(|env| log_node(env, n));
         sim.run_until(Instant::from_ticks(40_000));
         let outs: Vec<String> = sim
             .outputs()
@@ -109,15 +123,20 @@ fn log_safety_through_leadership_churn() {
     // Blast commands at several would-be leaders during the chaos.
     for k in 0..10u64 {
         for p in 0..n as u32 {
-            builder = builder.request_at(Instant::from_ticks(1_000 + 700 * k), ProcessId(p), k);
+            builder =
+                builder.request_at(Instant::from_ticks(1_000 + 700 * k), ProcessId(p), put(k));
         }
     }
-    let mut sim =
-        builder.build_with(|env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()));
+    let mut sim = builder.build_with(|env| log_node(env, n));
     sim.run_until(Instant::from_ticks(150_000));
 
     let logs: Vec<BTreeMap<u64, Option<u64>>> = (0..n as u32)
-        .map(|p| sim.node(ProcessId(p)).chosen_log())
+        .map(|p| {
+            sim.node(ProcessId(p))
+                .group(ShardId(0))
+                .expect("group 0")
+                .chosen_log()
+        })
         .collect();
     check_log_consistency(&logs).unwrap();
     // Liveness: after GST every submitted command value appears somewhere.

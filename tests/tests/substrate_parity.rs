@@ -110,11 +110,13 @@ fn failover_shape_matches_across_substrates() {
     );
 }
 
-/// The full consensus stack (replicated log + embedded Ω) also runs on the
-/// thread runtime: commands submitted to the leader commit at every replica.
+/// The full consensus stack (one Ω plus one replicated-log group per node)
+/// also runs on the thread runtime: commands submitted to the leader commit
+/// at every replica.
 #[test]
 fn replicated_log_commits_on_real_threads() {
-    use consensus::{ConsensusParams, ReplicatedLog};
+    use consensus::shard::{PlacementManager, PlacementMap, ShardEvent, ShardId, ShardRequest};
+    use consensus::{ConsensusParams, ShardedNode};
 
     let n = 3;
     // A generous tick (suspicion timeout = 15 ms) keeps scheduler jitter on
@@ -128,7 +130,10 @@ fn replicated_log_commits_on_real_threads() {
             tick: StdDuration::from_micros(500),
             seed: 5,
         },
-        |env| ReplicatedLog::<u64>::new(env, ConsensusParams::default()),
+        |env| {
+            let placement = PlacementManager::with_all_attached(PlacementMap::uniform(1, n));
+            ShardedNode::<u64>::new(env, ConsensusParams::default(), placement)
+        },
     );
     // Await a leader that is not merely unanimous but *stays* unanimous for
     // a while: submitting during a momentary agreement risks the commands
@@ -141,10 +146,10 @@ fn replicated_log_commits_on_real_threads() {
     let leader = loop {
         let latest = cluster.latest_outputs();
         let unanimous = latest.first().and_then(|o| match o {
-            Some(consensus::RsmEvent::Leader(l))
+            Some(ShardEvent::Leader(l))
                 if latest
                     .iter()
-                    .all(|o| matches!(o, Some(consensus::RsmEvent::Leader(x)) if x == l)) =>
+                    .all(|o| matches!(o, Some(ShardEvent::Leader(x)) if x == l)) =>
             {
                 Some(*l)
             }
@@ -163,7 +168,11 @@ fn replicated_log_commits_on_real_threads() {
         std::thread::sleep(StdDuration::from_millis(25));
     };
     for k in 0..5u64 {
-        cluster.request(leader, k);
+        let put = ShardRequest {
+            shard: ShardId(0),
+            cmd: k,
+        };
+        cluster.request(leader, put);
         std::thread::sleep(StdDuration::from_millis(30));
     }
     // Wait until every replica has committed the final command. Scan the
@@ -174,11 +183,7 @@ fn replicated_log_commits_on_real_threads() {
         let outputs = cluster.outputs_so_far();
         let done = (0..n as u32).map(ProcessId).all(|p| {
             outputs.iter().any(|t| {
-                t.process == p
-                    && matches!(
-                        t.output,
-                        consensus::RsmEvent::Committed { cmd: Some(4), .. }
-                    )
+                t.process == p && matches!(t.output, ShardEvent::Committed { cmd: Some(4), .. })
             })
         });
         if done {
@@ -199,7 +204,7 @@ fn replicated_log_commits_on_real_threads() {
             .iter()
             .filter(|t| t.process == p)
             .filter_map(|t| match &t.output {
-                consensus::RsmEvent::Committed { cmd, .. } => *cmd,
+                ShardEvent::Committed { cmd, .. } => *cmd,
                 _ => None,
             })
             .collect();

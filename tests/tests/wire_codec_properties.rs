@@ -112,7 +112,6 @@ fn decided_slots() -> impl Strategy<Value = Vec<u64>> {
 
 fn rsm_msg() -> impl Strategy<Value = RsmMsg<Tagged<KvCmd>>> {
     prop_oneof![
-        omega_msg().prop_map(RsmMsg::Omega),
         (ballot(), any::<u64>()).prop_map(|(b, from_slot)| RsmMsg::Prepare { b, from_slot }),
         (
             ballot(),
